@@ -38,6 +38,16 @@ void FloodMaster::tick(sim::Cycle now) {
   port_->request.push(std::move(t));
 }
 
+sim::Cycle FloodMaster::next_tick(sim::Cycle now) const {
+  if (port_ == nullptr) return sim::kNeverCycle;
+  if (!port_->response.empty()) return now;
+  if (done() || outstanding_) return sim::kNeverCycle;
+  if (cfg_.total_writes != 0 && issued_ >= cfg_.total_writes) {
+    return sim::kNeverCycle;
+  }
+  return now;
+}
+
 void FloodMaster::reset() {
   issued_ = completed_ = rejected_ = 0;
   seq_ = 0;

@@ -28,6 +28,9 @@ class FloodMaster final : public sim::Component {
   void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
 
   void tick(sim::Cycle now) override;
+  // Now with a response to drain or a write to issue; never while idle or
+  // waiting on the outstanding write.
+  [[nodiscard]] sim::Cycle next_tick(sim::Cycle now) const override;
   void reset() override;
 
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }

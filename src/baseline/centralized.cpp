@@ -94,6 +94,16 @@ void CentralizedMasterGate::tick(sim::Cycle now) {
   }
 }
 
+sim::Cycle CentralizedMasterGate::next_tick(sim::Cycle now) const {
+  if (bus_side_ != nullptr && !bus_side_->response.empty()) return now;
+  if (in_check_.has_value()) return now + check_remaining_ - 1;
+  return ip_side_.request.empty() ? sim::kNeverCycle : now;
+}
+
+void CentralizedMasterGate::skip(sim::Cycle from, sim::Cycle to) {
+  if (in_check_.has_value()) check_remaining_ -= to - from;
+}
+
 void CentralizedMasterGate::reset() {
   ip_side_.clear();
   if (bus_side_ != nullptr) bus_side_->clear();

@@ -96,6 +96,9 @@ class CentralizedMasterGate final : public sim::Component {
   }
 
   void tick(sim::Cycle now) override;
+  // Same shape as LocalFirewall: queued work now, else the verdict's arrival.
+  [[nodiscard]] sim::Cycle next_tick(sim::Cycle now) const override;
+  void skip(sim::Cycle from, sim::Cycle to) override;
   void reset() override;
 
   [[nodiscard]] const core::FirewallStats& stats() const noexcept { return stats_; }

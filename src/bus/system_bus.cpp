@@ -1,5 +1,7 @@
 #include "bus/system_bus.hpp"
 
+#include <algorithm>
+
 #include "obs/registry.hpp"
 #include "util/assert.hpp"
 
@@ -16,6 +18,7 @@ MasterEndpoint& SystemBus::attach_master(sim::MasterId id, std::string master_na
   MasterStats ms;
   ms.name = std::move(master_name);
   master_stats_.push_back(std::move(ms));
+  requesting_.push_back(false);
   return *endpoints_.back();
 }
 
@@ -103,17 +106,16 @@ void SystemBus::tick(sim::Cycle now) {
         ++stats_.busy_cycles;
         return;
       }
-      std::vector<bool> requesting(endpoints_.size(), false);
       bool any = false;
       for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-        requesting[i] = !endpoints_[i]->request.empty();
-        any = any || requesting[i];
+        requesting_[i] = !endpoints_[i]->request.empty();
+        any = any || requesting_[i];
       }
       if (!any) {
         ++stats_.idle_cycles;
         return;
       }
-      const int granted = arbiter_->pick(requesting);
+      const int granted = arbiter_->pick(requesting_);
       SECBUS_ASSERT(granted >= 0, "arbiter returned no grant despite requests");
       start_transaction(now, static_cast<std::size_t>(granted));
       ++stats_.busy_cycles;
@@ -153,6 +155,36 @@ void SystemBus::tick(sim::Cycle now) {
       break;
     }
   }
+}
+
+sim::Cycle SystemBus::next_tick(sim::Cycle now) const {
+  if (state_ == State::kDataAndSlave) return now + phase_remaining_ - 1;
+  if (no_requests_waiting()) return sim::kNeverCycle;
+  sim::Cycle t = now;
+  for (const auto& [start, end] : bookings_) {
+    if (start > t) break;
+    if (end > t) t = end;
+  }
+  return t;
+}
+
+void SystemBus::skip(sim::Cycle from, sim::Cycle to) {
+  const sim::Cycle n = to - from;
+  if (state_ == State::kDataAndSlave) {
+    stats_.busy_cycles += n;
+    phase_remaining_ -= n;
+    return;
+  }
+  // Expired windows are left for booked_at() to prune on the next tick.
+  sim::Cycle booked = 0;
+  for (const auto& [start, end] : bookings_) {
+    if (start >= to) break;
+    const sim::Cycle lo = std::max(start, from);
+    const sim::Cycle hi = std::min(end, to);
+    if (hi > lo) booked += hi - lo;
+  }
+  stats_.busy_cycles += booked;
+  stats_.idle_cycles += n - booked;
 }
 
 void SystemBus::reset_stats() noexcept {

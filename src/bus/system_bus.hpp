@@ -125,6 +125,12 @@ class SystemBus final : public sim::Component {
 
   // --- simulation ------------------------------------------------------
   void tick(sim::Cycle now) override;
+  // Data phase: the cycle it completes. Idle: never without a request,
+  // else the first cycle no booked crossing covers.
+  [[nodiscard]] sim::Cycle next_tick(sim::Cycle now) const override;
+  // Data-phase cycles are busy; idle cycles inside booked crossing windows
+  // are busy, the rest idle.
+  void skip(sim::Cycle from, sim::Cycle to) override;
   void reset() override;
 
   // Zeroes the segment and per-master statistics (master names survive)
@@ -163,6 +169,7 @@ class SystemBus final : public sim::Component {
   std::vector<sim::MasterId> master_ids_;
   std::vector<SlaveDevice*> slaves_;
   std::vector<MasterStats> master_stats_;
+  std::vector<bool> requesting_;  // arbiter input, one slot per master
   sim::EventTrace* trace_ = nullptr;
 
   State state_ = State::kIdle;

@@ -157,6 +157,16 @@ void LocalFirewall::tick(sim::Cycle now) {
   }
 }
 
+sim::Cycle LocalFirewall::next_tick(sim::Cycle now) const {
+  if (bus_side_ != nullptr && !bus_side_->response.empty()) return now;
+  if (in_check_.has_value()) return now + check_remaining_ - 1;
+  return ip_side_.request.empty() ? sim::kNeverCycle : now;
+}
+
+void LocalFirewall::skip(sim::Cycle from, sim::Cycle to) {
+  if (in_check_.has_value()) check_remaining_ -= to - from;
+}
+
 void LocalFirewall::reset_stats() noexcept {
   stats_ = {};
   fi_.reset();

@@ -120,6 +120,10 @@ class LocalFirewall final : public sim::Component {
   void set_trace(sim::EventTrace* trace) noexcept { trace_ = trace; }
 
   void tick(sim::Cycle now) override;
+  // Now with a queued response or request, else the end of the check in
+  // flight, else never.
+  [[nodiscard]] sim::Cycle next_tick(sim::Cycle now) const override;
+  void skip(sim::Cycle from, sim::Cycle to) override;
   void reset() override;
 
   [[nodiscard]] const FirewallStats& stats() const noexcept { return stats_; }

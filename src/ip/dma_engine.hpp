@@ -42,6 +42,9 @@ class DmaEngine final : public sim::Component {
   void start(const Job& job);
 
   void tick(sim::Cycle now) override;
+  // Now with a burst to issue or a response to take; never while idle or
+  // waiting on the bus.
+  [[nodiscard]] sim::Cycle next_tick(sim::Cycle now) const override;
   void reset() override;
 
   [[nodiscard]] bool busy() const noexcept { return state_ != State::kIdle; }

@@ -114,6 +114,25 @@ void Processor::tick(sim::Cycle now) {
   }
 }
 
+sim::Cycle Processor::next_tick(sim::Cycle now) const {
+  if (port_ == nullptr) return sim::kNeverCycle;
+  if (state_ == State::kWaiting) {
+    return port_->response.empty() ? sim::kNeverCycle : now;
+  }
+  return done() ? sim::kNeverCycle : now + compute_remaining_;
+}
+
+void Processor::skip(sim::Cycle from, sim::Cycle to) {
+  if (port_ == nullptr) return;
+  const sim::Cycle n = to - from;
+  if (state_ == State::kWaiting) {
+    stats_.stall_cycles += n;
+  } else if (!done()) {
+    stats_.compute_cycles += n;
+    compute_remaining_ -= n;
+  }
+}
+
 void Processor::contribute_metrics(obs::Registry& reg,
                                    const std::string& prefix) const {
   reg.counter(prefix + ".issued", stats_.issued);

@@ -80,6 +80,10 @@ class Processor final : public sim::Component {
   void connect(bus::MasterEndpoint& endpoint) noexcept { port_ = &endpoint; }
 
   void tick(sim::Cycle now) override;
+  // The end of the compute gap; never while waiting for a response.
+  [[nodiscard]] sim::Cycle next_tick(sim::Cycle now) const override;
+  // Credits compute_cycles (gap) or stall_cycles (waiting) in bulk.
+  void skip(sim::Cycle from, sim::Cycle to) override;
   void reset() override;
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

@@ -69,6 +69,31 @@ void ScriptedMaster::tick(sim::Cycle now) {
   }
 }
 
+sim::Cycle ScriptedMaster::next_tick(sim::Cycle now) const {
+  if (port_ == nullptr) return sim::kNeverCycle;
+  switch (state_) {
+    case State::kIdle:
+      return next_step_ < script_.size() ? now + script_[next_step_].delay
+                                         : sim::kNeverCycle;
+    case State::kDelay:
+      return now + delay_remaining_;
+    case State::kWaiting:
+      return port_->response.empty() ? sim::kNeverCycle : now;
+  }
+  return now;
+}
+
+void ScriptedMaster::skip(sim::Cycle from, sim::Cycle to) {
+  if (port_ == nullptr) return;
+  if (state_ == State::kIdle) {
+    if (next_step_ >= script_.size()) return;
+    // The first skipped tick loads the step's delay, as tick() would.
+    delay_remaining_ = script_[next_step_].delay;
+    state_ = State::kDelay;
+  }
+  if (state_ == State::kDelay) delay_remaining_ -= to - from;
+}
+
 void ScriptedMaster::reset() {
   next_step_ = 0;
   delay_remaining_ = 0;

@@ -49,6 +49,9 @@ class ScriptedMaster final : public sim::Component {
                      bus::DataFormat fmt = bus::DataFormat::kWord);
 
   void tick(sim::Cycle now) override;
+  // The cycle the next step issues; never while waiting for a response.
+  [[nodiscard]] sim::Cycle next_tick(sim::Cycle now) const override;
+  void skip(sim::Cycle from, sim::Cycle to) override;
   void reset() override;
 
   [[nodiscard]] bool done() const noexcept {

@@ -31,16 +31,37 @@ void SimKernel::step() {
   ++now_;
 }
 
+void SimKernel::advance(Cycle deadline) {
+  Cycle next = deadline;
+  if (!pending_.empty()) next = std::min(next, pending_.front().when);
+  for (Component* c : components_) {
+    if (next <= now_) return;
+    next = std::min(next, c->next_tick(now_));
+  }
+  if (next <= now_) return;
+  for (Component* c : components_) c->skip(now_, next);
+  now_ = next;
+}
+
 void SimKernel::run(Cycle n) {
-  for (Cycle i = 0; i < n; ++i) step();
+  const Cycle deadline = now_ + n;
+  while (now_ < deadline) {
+    step();
+    advance(deadline);
+  }
 }
 
 bool SimKernel::run_until(const std::function<bool()>& done, Cycle max_cycles) {
-  for (Cycle i = 0; i < max_cycles; ++i) {
-    if (done()) return true;
+  const Cycle deadline = now_ + max_cycles;
+  if (done()) return true;
+  while (now_ < deadline) {
     step();
+    // Checked before the jump: once done, the remaining components may all
+    // report kNeverCycle, and jumping first would run on to the deadline.
+    if (done()) return true;
+    advance(deadline);
   }
-  return done();
+  return false;
 }
 
 void SimKernel::schedule(Cycle delay, std::function<void()> fn) {

@@ -82,6 +82,8 @@ struct SocResults {
   std::uint64_t latency_p95 = 0;
   std::uint64_t latency_p99 = 0;
   std::uint64_t latency_max = 0;
+
+  bool operator==(const SocResults&) const = default;
 };
 
 class Soc {

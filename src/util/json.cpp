@@ -8,100 +8,123 @@ namespace secbus::util {
 
 Json Json::boolean(bool v) {
   Json j;
-  j.kind_ = Kind::kBool;
-  j.bool_ = v;
+  j.value_ = v;
   return j;
 }
 
 Json Json::number(double v) {
   Json j;
-  j.kind_ = Kind::kNumber;
-  j.dbl_ = v;
+  Number n;
+  n.dbl = v;
+  j.value_ = n;
   return j;
 }
 
 Json Json::number(std::uint64_t v) {
   Json j;
-  j.kind_ = Kind::kNumber;
-  j.int_exact_ = true;
-  j.mag_ = v;
+  Number n;
+  n.int_exact = true;
+  n.mag = v;
+  j.value_ = n;
   return j;
 }
 
 Json Json::number(std::int64_t v) {
   Json j;
-  j.kind_ = Kind::kNumber;
-  j.int_exact_ = true;
-  j.neg_ = v < 0;
-  j.mag_ = j.neg_ ? ~static_cast<std::uint64_t>(v) + 1
-                  : static_cast<std::uint64_t>(v);
+  Number n;
+  n.int_exact = true;
+  n.neg = v < 0;
+  n.mag = n.neg ? ~static_cast<std::uint64_t>(v) + 1
+                : static_cast<std::uint64_t>(v);
+  j.value_ = n;
   return j;
 }
 
 Json Json::string(std::string v) {
   Json j;
-  j.kind_ = Kind::kString;
-  j.str_ = std::move(v);
+  j.value_ = std::move(v);
   return j;
 }
 
 Json Json::array() {
   Json j;
-  j.kind_ = Kind::kArray;
+  j.value_ = Array();
   return j;
 }
 
 Json Json::object() {
   Json j;
-  j.kind_ = Kind::kObject;
+  j.value_ = Object();
   return j;
 }
 
 double Json::as_double() const noexcept {
-  if (!int_exact_) return dbl_;
-  const double mag = static_cast<double>(mag_);
-  return neg_ ? -mag : mag;
+  const Number* n = std::get_if<Number>(&value_);
+  if (n == nullptr) return 0.0;
+  if (!n->int_exact) return n->dbl;
+  const double mag = static_cast<double>(n->mag);
+  return n->neg ? -mag : mag;
 }
 
 bool Json::to_u64(std::uint64_t& out) const noexcept {
-  if (kind_ != Kind::kNumber || !int_exact_ || neg_) return false;
-  out = mag_;
+  const Number* n = std::get_if<Number>(&value_);
+  if (n == nullptr || !n->int_exact || n->neg) return false;
+  out = n->mag;
   return true;
 }
 
 bool Json::to_i64(std::int64_t& out) const noexcept {
-  if (kind_ != Kind::kNumber || !int_exact_) return false;
-  if (neg_) {
-    if (mag_ > 0x8000'0000'0000'0000ULL) return false;
-    out = static_cast<std::int64_t>(~mag_ + 1);
+  const Number* n = std::get_if<Number>(&value_);
+  if (n == nullptr || !n->int_exact) return false;
+  if (n->neg) {
+    if (n->mag > 0x8000'0000'0000'0000ULL) return false;
+    out = static_cast<std::int64_t>(~n->mag + 1);
   } else {
-    if (mag_ > 0x7FFF'FFFF'FFFF'FFFFULL) return false;
-    out = static_cast<std::int64_t>(mag_);
+    if (n->mag > 0x7FFF'FFFF'FFFF'FFFFULL) return false;
+    out = static_cast<std::int64_t>(n->mag);
   }
   return true;
 }
 
+const std::string& Json::as_string() const noexcept {
+  static const std::string kEmpty;
+  const std::string* s = std::get_if<std::string>(&value_);
+  return s != nullptr ? *s : kEmpty;
+}
+
+const Json::Array& Json::items() const noexcept {
+  static const Array kEmpty;
+  const Array* a = std::get_if<Array>(&value_);
+  return a != nullptr ? *a : kEmpty;
+}
+
+const Json::Object& Json::members() const noexcept {
+  static const Object kEmpty;
+  const Object* o = std::get_if<Object>(&value_);
+  return o != nullptr ? *o : kEmpty;
+}
+
 Json& Json::set(std::string key, Json value) {
-  kind_ = Kind::kObject;
-  for (Member& m : object_) {
+  if (!is_object()) value_ = Object();
+  for (Member& m : members()) {
     if (m.first == key) {
       m.second = std::move(value);
       return *this;
     }
   }
-  object_.emplace_back(std::move(key), std::move(value));
+  members().emplace_back(std::move(key), std::move(value));
   return *this;
 }
 
 Json& Json::push(Json value) {
-  kind_ = Kind::kArray;
-  array_.push_back(std::move(value));
+  if (!is_array()) value_ = Array();
+  items().push_back(std::move(value));
   return *this;
 }
 
 const Json* Json::find(std::string_view key) const noexcept {
-  if (kind_ != Kind::kObject) return nullptr;
-  for (const Member& m : object_) {
+  if (!is_object()) return nullptr;
+  for (const Member& m : members()) {
     if (m.first == key) return &m.second;
   }
   return nullptr;
@@ -162,35 +185,37 @@ void Json::write(std::string& out, int indent, int depth) const {
     out += '\n';
     out.append(static_cast<std::size_t>(indent) * d, ' ');
   };
-  switch (kind_) {
+  switch (kind()) {
     case Kind::kNull:
       out += "null";
       break;
     case Kind::kBool:
-      out += bool_ ? "true" : "false";
+      out += as_bool() ? "true" : "false";
       break;
-    case Kind::kNumber:
-      if (int_exact_) {
-        if (neg_) out += '-';
+    case Kind::kNumber: {
+      const Number& n = std::get<Number>(value_);
+      if (n.int_exact) {
+        if (n.neg) out += '-';
         char buf[24];
         std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(mag_));
+                      static_cast<unsigned long long>(n.mag));
         out += buf;
       } else {
-        append_double(out, dbl_);
+        append_double(out, n.dbl);
       }
       break;
+    }
     case Kind::kString:
-      out += quote(str_);
+      out += quote(as_string());
       break;
     case Kind::kArray: {
-      if (array_.empty()) {
+      if (items().empty()) {
         out += "[]";
         break;
       }
       out += '[';
       bool first = true;
-      for (const Json& item : array_) {
+      for (const Json& item : items()) {
         if (!first) out += ',';
         first = false;
         newline_indent(depth + 1);
@@ -201,13 +226,13 @@ void Json::write(std::string& out, int indent, int depth) const {
       break;
     }
     case Kind::kObject: {
-      if (object_.empty()) {
+      if (members().empty()) {
         out += "{}";
         break;
       }
       out += '{';
       bool first = true;
-      for (const Member& m : object_) {
+      for (const Member& m : members()) {
         if (!first) out += ',';
         first = false;
         newline_indent(depth + 1);

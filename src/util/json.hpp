@@ -15,6 +15,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace secbus::util {
@@ -47,38 +48,48 @@ class Json {
   [[nodiscard]] static Json object();
 
   // --- inspection ---------------------------------------------------------
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::kNull; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::kBool; }
+  [[nodiscard]] Kind kind() const noexcept {
+    return static_cast<Kind>(value_.index());
+  }
+  [[nodiscard]] bool is_null() const noexcept { return kind() == Kind::kNull; }
+  [[nodiscard]] bool is_bool() const noexcept { return kind() == Kind::kBool; }
   [[nodiscard]] bool is_number() const noexcept {
-    return kind_ == Kind::kNumber;
+    return kind() == Kind::kNumber;
   }
   [[nodiscard]] bool is_string() const noexcept {
-    return kind_ == Kind::kString;
+    return kind() == Kind::kString;
   }
-  [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::kArray; }
+  [[nodiscard]] bool is_array() const noexcept {
+    return kind() == Kind::kArray;
+  }
   [[nodiscard]] bool is_object() const noexcept {
-    return kind_ == Kind::kObject;
+    return kind() == Kind::kObject;
   }
   // Number parsed from an integer lexeme (no fraction/exponent) that fits
   // the int64/uint64 range; such numbers round-trip bit-exactly.
   [[nodiscard]] bool is_integer() const noexcept {
-    return kind_ == Kind::kNumber && int_exact_;
+    const Number* n = std::get_if<Number>(&value_);
+    return n != nullptr && n->int_exact;
   }
 
   // --- value access (callers check the kind first) ------------------------
-  [[nodiscard]] bool as_bool() const noexcept { return bool_; }
+  // The const accessors return false / 0 / empty values on a kind mismatch;
+  // the mutable items() and members() require the matching kind.
+  [[nodiscard]] bool as_bool() const noexcept {
+    const bool* b = std::get_if<bool>(&value_);
+    return b != nullptr && *b;
+  }
   [[nodiscard]] double as_double() const noexcept;
   // False when not an integer-exact number in the target range.
   [[nodiscard]] bool to_u64(std::uint64_t& out) const noexcept;
   [[nodiscard]] bool to_i64(std::int64_t& out) const noexcept;
-  [[nodiscard]] const std::string& as_string() const noexcept { return str_; }
-  [[nodiscard]] const Array& items() const noexcept { return array_; }
-  [[nodiscard]] Array& items() noexcept { return array_; }
-  [[nodiscard]] const Object& members() const noexcept { return object_; }
-  [[nodiscard]] Object& members() noexcept { return object_; }
+  [[nodiscard]] const std::string& as_string() const noexcept;
+  [[nodiscard]] const Array& items() const noexcept;
+  [[nodiscard]] Array& items() { return std::get<Array>(value_); }
+  [[nodiscard]] const Object& members() const noexcept;
+  [[nodiscard]] Object& members() { return std::get<Object>(value_); }
   [[nodiscard]] std::size_t size() const noexcept {
-    return kind_ == Kind::kArray ? array_.size() : object_.size();
+    return is_array() ? items().size() : members().size();
   }
 
   // --- building -----------------------------------------------------------
@@ -105,16 +116,21 @@ class Json {
  private:
   void write(std::string& out, int indent, int depth) const;
 
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  // Numbers: `int_exact_` numbers live in (neg_, mag_); others in dbl_.
-  bool int_exact_ = false;
-  bool neg_ = false;
-  std::uint64_t mag_ = 0;
-  double dbl_ = 0.0;
-  std::string str_;
-  Array array_;
-  Object object_;
+  // Integer-exact numbers live in (neg, mag); others in dbl.
+  struct Number {
+    union {
+      std::uint64_t mag = 0;
+      double dbl;
+    };
+    bool int_exact = false;
+    bool neg = false;
+  };
+
+  // One alternative per Kind, in Kind order, so index() is the kind. A
+  // single variant keeps a value at 40 bytes; documents with many small
+  // values (per-job timing arrays) are dominated by that size.
+  std::variant<std::monostate, bool, Number, std::string, Array, Object>
+      value_;
 };
 
 }  // namespace secbus::util

@@ -181,6 +181,45 @@ TEST_F(BusFixture, ResetClearsState) {
   EXPECT_EQ(bus->master_stats()[0].grants, 0u);
 }
 
+TEST_F(BusFixture, NextTickWaitsOutBookedWindows) {
+  bus->book(2, 10);
+  bus->book(10, 15);  // adjacent: one busy stretch 2..15
+  bus->book(20, 25);
+  EXPECT_EQ(bus->next_tick(0), sim::kNeverCycle) << "no request, no tick";
+  ep0->request.push(make_read(0, 0x0));
+  EXPECT_EQ(bus->next_tick(0), 0u);
+  EXPECT_EQ(bus->next_tick(2), 15u);
+  EXPECT_EQ(bus->next_tick(12), 15u);
+  EXPECT_EQ(bus->next_tick(16), 16u);
+  EXPECT_EQ(bus->next_tick(22), 25u);
+}
+
+TEST_F(BusFixture, NextTickIsTheDataPhaseEnd) {
+  slave.latency_ = 5;
+  ep0->request.push(make_read(0, 0x0, DataFormat::kWord, 2));
+  kernel.step();  // grant + address phase at cycle 0
+  // 5 slave cycles + 2 beats from cycle 1: the response lands at cycle 7.
+  EXPECT_EQ(bus->next_tick(kernel.now()), 7u);
+  kernel.run(10);
+  ASSERT_FALSE(ep0->response.empty());
+  EXPECT_EQ(ep0->response.front().completed_at, 7u);
+}
+
+TEST(SystemBusSkip, CreditsBookedWindowsAsBusyTheRestAsIdle) {
+  SystemBus skipped("skipped");
+  SystemBus ticked("ticked");
+  for (SystemBus* b : {&skipped, &ticked}) {
+    b->book(3, 8);
+    b->book(12, 20);
+  }
+  skipped.skip(1, 16);
+  for (sim::Cycle c = 1; c < 16; ++c) ticked.tick(c);
+  EXPECT_EQ(skipped.stats().busy_cycles, 9u);
+  EXPECT_EQ(skipped.stats().idle_cycles, 6u);
+  EXPECT_EQ(skipped.stats().busy_cycles, ticked.stats().busy_cycles);
+  EXPECT_EQ(skipped.stats().idle_cycles, ticked.stats().idle_cycles);
+}
+
 TEST(SystemBusPriority, FixedPriorityStarvesUnderLoad) {
   sim::SimKernel kernel;
   SystemBus bus("bus", std::make_unique<FixedPriorityArbiter>());

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace secbus::sim {
@@ -26,6 +28,30 @@ class Probe final : public Component {
  private:
   std::vector<std::string>* sink_;
 };
+
+// Needs a tick only at `wake` (then never again); logs ticks and skips.
+class Sleeper final : public Component {
+ public:
+  Sleeper(Cycle wake, std::vector<std::string>& sink)
+      : Component("sleeper"), wake_(wake), sink_(&sink) {}
+
+  void tick(Cycle now) override {
+    sink_->push_back("tick@" + std::to_string(now));
+    if (now >= wake_) wake_ = kNeverCycle;
+  }
+  [[nodiscard]] Cycle next_tick(Cycle now) const override {
+    return std::max(now, wake_);
+  }
+  void skip(Cycle from, Cycle to) override { skips.emplace_back(from, to); }
+
+  std::vector<std::pair<Cycle, Cycle>> skips;
+
+ private:
+  Cycle wake_;
+  std::vector<std::string>* sink_;
+};
+
+using Skips = std::vector<std::pair<Cycle, Cycle>>;
 
 TEST(Kernel, TicksComponentsInRegistrationOrder) {
   SimKernel k;
@@ -132,6 +158,82 @@ TEST(Kernel, TicksExecutedCountsAllComponents) {
   k.run(10);
   EXPECT_EQ(k.ticks_executed(), 20u);
   EXPECT_EQ(k.component_count(), 2u);
+}
+
+TEST(Kernel, JumpsToNextTickWithOneSkipPerGap) {
+  SimKernel k;
+  std::vector<std::string> log;
+  Sleeper s(10, log);
+  k.add(s);
+  k.run(20);
+  EXPECT_EQ(log, (std::vector<std::string>{"tick@0", "tick@10"}));
+  EXPECT_EQ(s.skips, (Skips{{1, 10}, {11, 20}}));
+  EXPECT_EQ(k.now(), 20u);
+  EXPECT_EQ(k.ticks_executed(), 2u);
+}
+
+TEST(Kernel, DefaultNextTickPinsPerCycleStepping) {
+  SimKernel k;
+  std::vector<std::string> log;
+  Sleeper s(kNeverCycle, log);
+  Probe p("p", log);
+  k.add(s);
+  k.add(p);
+  k.run(4);
+  EXPECT_TRUE(s.skips.empty());
+  EXPECT_EQ(p.ticks, 4);
+  EXPECT_EQ(k.ticks_executed(), 8u);
+}
+
+TEST(Kernel, ScheduledCallbackCapsTheJumpAndFiresBeforeTicks) {
+  SimKernel k;
+  std::vector<std::string> log;
+  Sleeper s(50, log);
+  k.add(s);
+  k.schedule(7, [&] { log.push_back("cb@" + std::to_string(k.now())); });
+  k.run(60);
+  EXPECT_EQ(log, (std::vector<std::string>{"tick@0", "cb@7", "tick@7",
+                                           "tick@50"}));
+  EXPECT_EQ(s.skips, (Skips{{1, 7}, {8, 50}, {51, 60}}));
+}
+
+TEST(Kernel, RunUntilReturnsAtTheQuiescenceCycle) {
+  SimKernel k;
+  std::vector<std::string> log;
+  Sleeper s(25, log);
+  k.add(s);
+  // After its wake-up tick the sleeper reports kNeverCycle: only checking
+  // the predicate before jumping stops the run at 26 instead of 1000.
+  const bool hit = k.run_until([&log] { return log.size() == 2; }, 1000);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(k.now(), 26u);
+  EXPECT_EQ(s.skips, (Skips{{1, 25}}));
+}
+
+TEST(Kernel, RunUntilTimeoutEndsExactlyAtTheDeadline) {
+  SimKernel k;
+  std::vector<std::string> log;
+  Sleeper s(40, log);
+  k.add(s);
+  k.run(5);
+  const bool hit = k.run_until([] { return false; }, 100);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(k.now(), 105u);
+  EXPECT_EQ(log, (std::vector<std::string>{"tick@0", "tick@5", "tick@40"}));
+  EXPECT_EQ(s.skips.back(), (std::pair<Cycle, Cycle>{41, 105}));
+}
+
+TEST(Kernel, RunEndsExactlyNCyclesLater) {
+  SimKernel k;
+  std::vector<std::string> log;
+  Sleeper s(kNeverCycle, log);
+  k.add(s);
+  k.run(3);
+  EXPECT_EQ(k.now(), 3u);
+  k.run(1000);
+  EXPECT_EQ(k.now(), 1003u);
+  EXPECT_EQ(k.ticks_executed(), 2u);
+  EXPECT_EQ(s.skips, (Skips{{1, 3}, {4, 1003}}));
 }
 
 }  // namespace
