@@ -1,8 +1,8 @@
 #include "campaign/fleet.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
@@ -1268,19 +1268,17 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
       shared->total = total;
     };
 
-    // The beat thread waits out each period on `beat_cv`, and the main
-    // thread wakes it as soon as the shard is done, so joining it costs no
-    // leftover sleep while the lease is still held.
-    std::mutex beat_mutex;
-    std::condition_variable beat_cv;
-    bool stop = false;
+    std::atomic<bool> stop{false};
     net::Transport* beat_wire = wire;
-    const auto beat_every = std::chrono::milliseconds(heartbeat_ms);
-    std::thread beat([&beat_mutex, &beat_cv, &stop, shared, beat_wire, grant,
-                      beat_every] {
-      std::unique_lock<std::mutex> wait_lock(beat_mutex);
-      while (!beat_cv.wait_for(wait_lock, beat_every, [&stop] { return stop; })) {
-        wait_lock.unlock();
+    const std::uint64_t beat_every = heartbeat_ms;
+    std::thread beat([&stop, shared, beat_wire, grant, beat_every] {
+      std::uint64_t slept = 0;
+      for (;;) {
+        sleep_ms(50);
+        if (stop.load(std::memory_order_relaxed)) return;
+        slept += 50;
+        if (slept < beat_every) continue;
+        slept = 0;
         ProgressRecord record;
         {
           std::lock_guard<std::mutex> lock(shared->mutex);
@@ -1295,15 +1293,10 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
         beat_wire->send(net::kServerConn,
                         fleet_msg::heartbeat(grant.shard, grant.generation,
                                              record, &snapshot, grant.epoch));
-        wait_lock.lock();
       }
     });
     const ShardRunOutcome outcome = run_shard(specs, run);
-    {
-      std::lock_guard<std::mutex> lock(beat_mutex);
-      stop = true;
-    }
-    beat_cv.notify_one();
+    stop.store(true, std::memory_order_relaxed);
     beat.join();
     if (!outcome.checkpoint_ok) {
       std::fprintf(stderr,
