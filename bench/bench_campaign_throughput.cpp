@@ -1,24 +1,24 @@
-// Tracked throughput baseline for sharded campaign execution.
+// Tracked throughput baseline for campaign execution.
 //
 // Times the same campaign three ways and records the ratios:
-//   * single_nocache — one process, one runner thread, SoC-setup memo cache
-//     disabled: the PR-4 execution model (the recorded baseline);
-//   * single_cache   — one process, one thread, memo cache warm: isolates
-//     the cross-job SoC-setup memoization win (machine-independent);
-//   * spawnN_cache   — N forked single-thread worker processes over N
-//     shards, each with its own warm cache, merged: the full sharded
-//     pipeline (scales with hardware threads; `hw_threads` is recorded so a
-//     1-core CI box's number isn't misread as a regression).
+//   * single_nocache — one runner thread, SoC-setup memo cache disabled:
+//     the execution model before memoization (the recorded baseline);
+//   * single_cache   — one thread, memo cache warm: isolates the cross-job
+//     SoC-setup memoization win (machine-independent);
+//   * threadsN_cache — the batch runner on N threads sharing the warm
+//     cache: the in-process parallel path `campaign run --jobs N` takes
+//     (scales with hardware threads; `hw_threads` is recorded so a 1-core
+//     CI box's number isn't misread as a regression).
 //
-// The figure of merit is `speedup_total` = single_nocache / spawnN_cache
+// The figure of merit is `speedup_total` = single_nocache / threadsN_cache
 // wall-clock; `speedup_memo` isolates the cache contribution. Results land
 // in BENCH_campaign_throughput.json; tools/bench_compare diffs them against
 // bench/baselines/.
 //
-//   bench_campaign_throughput [--campaign PATH] [--shards N] [--repeats N]
+//   bench_campaign_throughput [--campaign PATH] [--threads N] [--repeats N]
 //                             [--out PATH] [--quick]
 //
-// Defaults: examples/campaigns/attack_grid.json, 4 shards, 3 repeats
+// Defaults: examples/campaigns/attack_grid.json, 4 threads, 3 repeats
 // (best-of), output bench/out/BENCH_campaign_throughput.json. --quick drops
 // to 1 repeat for CI smoke runs.
 #include <chrono>
@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -35,7 +34,6 @@
 #include "bench_output.hpp"
 
 #include "campaign/campaign.hpp"
-#include "campaign/shard.hpp"
 #include "core/format_cache.hpp"
 #include "scenario/runner.hpp"
 #include "util/table.hpp"
@@ -63,7 +61,7 @@ double best_of(int repeats, const std::function<void()>& body) {
 }
 
 void write_json(const std::string& path, const std::string& campaign,
-                std::size_t jobs, std::size_t shards, int repeats,
+                std::size_t jobs, unsigned threads, int repeats,
                 const std::vector<Timing>& timings, double speedup_memo,
                 double speedup_total,
                 const core::FormatCache::Stats& cache_stats) {
@@ -74,7 +72,7 @@ void write_json(const std::string& path, const std::string& campaign,
   }
   std::fprintf(f, "{\n  \"bench\": \"campaign_throughput\",\n");
   std::fprintf(f, "  \"campaign\": \"%s\",\n", campaign.c_str());
-  std::fprintf(f, "  \"jobs\": %zu,\n  \"shards\": %zu,\n", jobs, shards);
+  std::fprintf(f, "  \"jobs\": %zu,\n  \"threads\": %u,\n", jobs, threads);
   std::fprintf(f, "  \"repeats\": %d,\n", repeats);
   std::fprintf(f, "  \"hw_threads\": %u,\n",
                std::thread::hardware_concurrency());
@@ -122,16 +120,16 @@ void write_json(const std::string& path, const std::string& campaign,
 
 int main(int argc, char** argv) {
   std::string campaign_path = "examples/campaigns/attack_grid.json";
-  std::size_t shards = 4;
+  unsigned threads = 4;
   int repeats = 3;
   std::string out_path = benchio::out_path("BENCH_campaign_throughput.json");
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--campaign" && i + 1 < argc) {
       campaign_path = argv[++i];
-    } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (shards < 1 || shards > 64) shards = 4;
+    } else if (arg == "--threads" && i + 1 < argc) {
+      const int n = std::atoi(argv[++i]);
+      threads = n < 1 || n > 64 ? 4u : static_cast<unsigned>(n);
     } else if (arg == "--repeats" && i + 1 < argc) {
       repeats = std::atoi(argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
@@ -141,13 +139,13 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: bench_campaign_throughput [--campaign PATH] "
-                   "[--shards N] [--repeats N] [--out PATH] [--quick]\n");
+                   "[--threads N] [--repeats N] [--out PATH] [--quick]\n");
       return 2;
     }
   }
   if (repeats < 1) repeats = 1;
 
-  std::puts("=== bench_campaign_throughput: sharded campaign pipeline ===\n");
+  std::puts("=== bench_campaign_throughput: campaign execution ===\n");
 
   campaign::CampaignSpec spec;
   std::string error;
@@ -161,7 +159,7 @@ int main(int argc, char** argv) {
   core::FormatCache& cache = core::FormatCache::instance();
   std::vector<Timing> timings;
 
-  // 1) PR-4 baseline: one process, one thread, no setup memoization.
+  // 1) Baseline: one thread, no setup memoization.
   cache.set_enabled(false);
   Timing nocache;
   nocache.config = "single_nocache";
@@ -185,36 +183,24 @@ int main(int argc, char** argv) {
   const core::FormatCache::Stats cache_stats = cache.stats();
   timings.push_back(cached);
 
-  // 3) Full sharded pipeline: N forked single-thread workers + merge.
-  //    Workers fork with the parent's warm cache image (copy-on-write),
-  //    matching a long-running campaign's steady state.
-  const std::string bench_dir = benchio::out_path("campaign-throughput");
-  Timing sharded;
-  sharded.config = "spawn" + std::to_string(shards) + "_cache";
-  sharded.jobs = specs.size();
-  sharded.wall_seconds = best_of(repeats, [&] {
-    campaign::SpawnOptions opt;
-    opt.shards = shards;
-    opt.threads_per_shard = 1;
-    opt.out_dir = bench_dir;
-    opt.checkpoint = false;  // timing the compute path, not the journal
-    opt.quiet = true;
-    std::vector<scenario::JobResult> merged;
-    std::string spawn_error;
-    if (!campaign::run_campaign_sharded_local(spec.name, specs, opt, &merged,
-                                              nullptr, &spawn_error)) {
-      std::fprintf(stderr, "sharded run failed: %s\n", spawn_error.c_str());
-      std::exit(1);
-    }
+  // 3) The batch runner on N threads over the warm shared cache.
+  Timing threaded;
+  threaded.config = "threads" + std::to_string(threads) + "_cache";
+  threaded.jobs = specs.size();
+  scenario::BatchOptions threaded_opts;
+  threaded_opts.threads = threads;
+  threaded.wall_seconds = best_of(repeats, [&] {
+    (void)scenario::run_batch(specs, threaded_opts);
   });
-  timings.push_back(sharded);
+  timings.push_back(threaded);
 
   const double speedup_memo =
       cached.wall_seconds > 0.0 ? nocache.wall_seconds / cached.wall_seconds
                                 : 0.0;
   const double speedup_total =
-      sharded.wall_seconds > 0.0 ? nocache.wall_seconds / sharded.wall_seconds
-                                 : 0.0;
+      threaded.wall_seconds > 0.0
+          ? nocache.wall_seconds / threaded.wall_seconds
+          : 0.0;
 
   util::TextTable table("campaign " + spec.name + ", " +
                         std::to_string(specs.size()) + " jobs, best-of-" +
@@ -237,13 +223,13 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "\nmemo speedup %.2fx, total (spawn %zu) %.2fx; format cache %llu "
+      "\nmemo speedup %.2fx, total (%u threads) %.2fx; format cache %llu "
       "hit(s) / %llu miss(es)\n",
-      speedup_memo, shards, speedup_total,
+      speedup_memo, threads, speedup_total,
       static_cast<unsigned long long>(cache_stats.hits),
       static_cast<unsigned long long>(cache_stats.misses));
 
-  write_json(out_path, spec.name, specs.size(), shards, repeats, timings,
+  write_json(out_path, spec.name, specs.size(), threads, repeats, timings,
              speedup_memo, speedup_total, cache_stats);
   std::printf("Machine-readable report: %s\n", out_path.c_str());
   return 0;

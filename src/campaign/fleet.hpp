@@ -5,8 +5,8 @@
 // processes over TCP (net/transport.hpp). Each lease carries a generation
 // counter; the worker heartbeats (shard, generation, ProgressRecord) while
 // it runs, and the server mirrors those heartbeats into ordinary progress
-// sidecars so `campaign status` renders a remote fleet exactly like a
-// local --spawn run. A lease whose heartbeats stop for `lease_timeout_ms`
+// sidecars so `campaign status` renders a remote fleet exactly like local
+// `--shard i/N` runs. A lease whose heartbeats stop for `lease_timeout_ms`
 // expires: the shard returns to the pending pool and is granted to the
 // next live worker. Because shard checkpoints are crash-safe JSONL
 // (shard.hpp), reassignment is a *resume* — the replacement worker skips
@@ -40,23 +40,23 @@
 // (telemetry.hpp worker_metrics_snapshot) that the server merges into the
 // fleet-level registry behind /metrics.
 //
-// Restart survival (the second fencing dimension): the server persists a
-// crash-safe lease journal ("<campaign>.fleet-journal.jsonl",
-// campaign/journal.hpp) recording its identity and every committed shard.
-// A killed server restarted with `--resume` replays the journal — committed
-// shards stay done, everything else returns to pending — and bumps its
-// *epoch* (fresh server: 0; resume: last journaled + 1). Every grant
+// Restart survival (the second fencing dimension): the server's one
+// durable record is its fleet log ("<campaign>.fleet-audit.jsonl",
+// campaign/audit.hpp). Each incarnation's `server_start` record carries
+// the campaign identity, and each `commit` record the durably written
+// shard file. A killed server restarted with `--resume` replays the log —
+// committed shards stay done, everything else returns to pending — and
+// bumps its *epoch* (fresh server: 0; resume: last logged + 1). Every grant
 // carries the epoch; heartbeats and shard_done echo it; a result minted
 // under a previous incarnation presents a stale epoch and is refused with
 // drop=true exactly like a stale generation. `epoch` is optional on the
 // wire (absent reads as 0), so v1 endpoints interoperate: a fresh server
 // is epoch 0 and old workers never cross a restart without reconnecting.
 //
-// Observability plane (all pure additions — the deterministic artifacts
-// are byte-identical with it on or off):
-//   * every lease transition is appended to a flushed JSONL audit log
-//     ("<campaign>.fleet-audit.jsonl", campaign/audit.hpp) with
-//     server-relative timestamps;
+// Observability plane (the deterministic artifacts are byte-identical
+// with it on or off):
+//   * the fleet log above records every lease transition with
+//     server-relative timestamps, which `campaign timeline` renders;
 //   * fleet_registry() merges the latest worker snapshots under
 //     fleet.worker<ordinal>.* / fleet.total.* for the Prometheus text
 //     exposition (obs/exposition.hpp);
@@ -75,7 +75,6 @@
 #include "campaign/audit.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/chaos.hpp"
-#include "campaign/journal.hpp"
 #include "campaign/shard.hpp"
 #include "campaign/telemetry.hpp"
 #include "net/transport.hpp"
@@ -184,7 +183,7 @@ class LeaseManager {
   Completion complete(const std::string& worker, std::size_t shard,
                       std::uint64_t generation);
 
-  // Journal replay: marks `shard` done under `generation` without ever
+  // Fleet-log replay: marks `shard` done under `generation` without ever
   // having been leased this incarnation. The generation is preserved so a
   // late duplicate from the committing worker reads as kDuplicate, not a
   // fresh grant.
@@ -240,21 +239,18 @@ struct FleetServerOptions {
   // status` (disable with write_progress = false).
   std::string out_dir = "bench/out";
   bool write_progress = true;
-  // Appends every lease transition to "<campaign>.fleet-audit.jsonl" in
-  // out_dir (campaign/audit.hpp). Pure observability; disable for fleets
-  // that must not touch shared disk beyond the result files.
+  // Appends every lease transition to the fleet log
+  // "<campaign>.fleet-audit.jsonl" in out_dir (campaign/audit.hpp). The log
+  // is what `resume` replays: a fresh serve refuses to start over an
+  // incomplete log (a crashed predecessor) unless `resume` is set, and
+  // removes a complete one. Disable for fleets that must not touch shared
+  // disk beyond the result files; such a fleet cannot resume.
   bool audit = true;
-  // Crash-safe lease journal ("<campaign>.fleet-journal.jsonl" in out_dir,
-  // campaign/journal.hpp). Unlike the audit log this is *load-bearing*:
-  // it is what `--resume` replays. On by default; a fresh serve refuses to
-  // start over an incomplete journal (a crashed predecessor) unless
-  // `resume` is set, and silently removes a complete one.
-  bool journal = true;
-  // Resume from the journal: committed shards stay done, the epoch bumps
-  // past every journaled one, and pre-restart zombies are fenced off.
+  // Resume from the fleet log: committed shards stay done, the epoch bumps
+  // past every logged one, and pre-restart zombies are fenced off.
   bool resume = false;
   // Server-side fault injection (campaign/chaos.hpp):
-  // `kill_server_after:<n>` _Exit()s the process after the n-th journaled
+  // `kill_server_after:<n>` _Exit()s the process after the n-th logged
   // commit — the restart-recovery CI leg's murder weapon.
   ChaosOptions chaos;
   bool quiet = true;  // suppress per-event stdout lines (stderr warnings stay)
@@ -265,7 +261,7 @@ struct FleetServerOptions {
 // over TcpServerTransport, the state-machine tests over FakeTransport.
 class FleetServer {
  public:
-  // Construction never throws; journal/resume validation failures land in
+  // Construction never throws; log/resume validation failures land in
   // init_error() (a constructor cannot return false) and the first step()
   // fails with that message.
   FleetServer(net::Transport& transport, const CampaignSpec& campaign,
@@ -275,9 +271,9 @@ class FleetServer {
   FleetServer(const FleetServer&) = delete;
   FleetServer& operator=(const FleetServer&) = delete;
 
-  // Non-empty when the journal refused construction (resume without a
-  // journal, identity mismatch, incomplete journal without --resume,
-  // unwritable journal). Check before run().
+  // Non-empty when the fleet log refused construction (resume without a
+  // log, identity mismatch, incomplete log without resume, unwritable
+  // log). Check before run().
   [[nodiscard]] const std::string& init_error() const noexcept {
     return init_error_;
   }
@@ -287,7 +283,7 @@ class FleetServer {
   // expires dead leases, pushes freed shards to waiting workers, and
   // merges the shard files once the last one lands. False on
   // unrecoverable failure (transport death, shard-file write/merge
-  // failure) with `error` set.
+  // failure, fleet-log write failure) with `error` set.
   bool step(std::uint64_t max_wait_ms, std::string* error);
 
   // step() until the campaign completes, then drain briefly so the final
@@ -320,9 +316,9 @@ class FleetServer {
   [[nodiscard]] std::size_t connected_workers() const noexcept {
     return peers_.size();
   }
-  // Server incarnation: 0 for a fresh serve, last journaled + 1 on resume.
+  // Server incarnation: 0 for a fresh serve, last logged + 1 on resume.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-  // Shards restored done from the journal by this incarnation's resume.
+  // Shards restored done from the log by this incarnation's resume.
   [[nodiscard]] std::size_t resumed_shards() const noexcept {
     return resumed_shards_;
   }
@@ -341,14 +337,9 @@ class FleetServer {
   // entry per known worker. Timestamps are server-relative ms.
   [[nodiscard]] util::Json status_json() const;
 
-  // Audit log path ("" when options.audit is off).
+  // Fleet log path ("" when options.audit is off).
   [[nodiscard]] const std::string& audit_path() const noexcept {
     return audit_path_;
-  }
-
-  // Lease journal path ("" when options.journal is off).
-  [[nodiscard]] const std::string& journal_path() const noexcept {
-    return journal_path_;
   }
 
  private:
@@ -369,6 +360,7 @@ class FleetServer {
     obs::Registry snapshot;  // latest heartbeat piggyback
   };
 
+  void open_fleet_log();
   void handle_event(const net::TransportEvent& event, std::string* error);
   void handle_message(net::ConnId conn, const util::Json& message,
                       std::string* error);
@@ -385,8 +377,10 @@ class FleetServer {
   bool finalize(std::string* error);
   ProgressWriter* progress_writer(std::size_t shard);
   void log_event(const char* fmt, ...);
-  // Appends one audit record stamped with the server-relative now.
-  void audit(AuditEvent event, std::size_t shard, std::uint64_t generation,
+  // Appends one audit record stamped with the server-relative now. A
+  // failed append parks its message in audit_error_, which ends step().
+  bool audit(AuditRecord record);
+  bool audit(AuditEvent event, std::size_t shard, std::uint64_t generation,
              const std::string& worker, std::string detail = std::string());
   // The worker's WorkerInfo, created (with the next ordinal) on first use.
   WorkerInfo& worker_info(const std::string& worker);
@@ -404,18 +398,17 @@ class FleetServer {
   std::vector<std::string> shard_paths_;  // filled per accepted shard
   std::vector<scenario::JobResult> results_;
   bool finished_ = false;
-  // Crash-safety plane.
+  // Crash-safety plane: the fleet log.
   std::uint64_t epoch_ = 0;
-  FleetJournal journal_;
-  std::string journal_path_;
+  AuditLog audit_;
+  std::string audit_path_;
+  std::string audit_error_;  // first failed append; fatal to step()
   std::string init_error_;
   std::size_t resumed_shards_ = 0;
-  std::uint64_t commits_journaled_ = 0;  // feeds kill_server_after chaos
+  std::uint64_t commits_logged_ = 0;  // feeds kill_server_after chaos
   // Observability plane.
   std::uint64_t start_ms_ = 0;  // transport clock at construction
   std::map<std::string, WorkerInfo> workers_;
-  AuditLog audit_;
-  std::string audit_path_;
 };
 
 // --- worker -----------------------------------------------------------------

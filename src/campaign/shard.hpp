@@ -19,10 +19,11 @@
 //                       an interrupted shard skips finished work (and a
 //                       stale checkpoint from an edited campaign is
 //                       ignored, never merged);
-//   * orchestration   — run_shard() executes one shard in-process;
-//                       run_campaign_sharded_local() forks N local worker
-//                       processes over the shards (each warming its own
-//                       per-process format cache), waits, and merges.
+//   * execution       — run_shard() executes one shard in-process. Spreading
+//                       shards over processes is the fleet's job
+//                       (fleet.hpp: `campaign serve` plus workers, loopback
+//                       on one host), or the user's: N `--shard i/N` runs
+//                       followed by `campaign merge`.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +76,8 @@ struct ShardResultFile {
 
 // Canonical file names: "<campaign>.shard-<i>-of-<N>.json" for results,
 // "<campaign>.shard-<i>-of-<N>.ckpt.jsonl" for checkpoints. Shared by the
-// CLI and the spawn orchestrator so a --shard re-run resumes from the
-// checkpoints a --spawn run wrote (and vice versa).
+// CLI and the fleet worker so a --shard re-run resumes from the
+// checkpoints a fleet worker wrote (and vice versa).
 [[nodiscard]] std::string shard_file_name(const std::string& campaign,
                                           std::size_t shard,
                                           std::size_t shards);
@@ -156,7 +157,7 @@ struct ShardRunOptions {
   // Fault injection (campaign/chaos.hpp): with kKillAfter, the process
   // std::_Exit()s right after checkpointing its n-th executed job — the
   // deterministic stand-in for a worker crash that the fleet's lease
-  // reassignment (and --spawn's restart-once) must recover from.
+  // reassignment must recover from.
   ChaosOptions chaos;
   // Progress over the whole shard slice; `done` counts resumed + executed.
   std::function<void(const scenario::JobResult&, std::size_t done,
@@ -189,40 +190,5 @@ struct ShardRunOutcome {
                                             std::size_t shard,
                                             std::size_t shards,
                                             std::uint64_t grid_fp);
-
-// --- local multi-process orchestration --------------------------------------
-
-struct SpawnOptions {
-  std::size_t shards = 4;
-  unsigned threads_per_shard = 1;
-  std::string out_dir;     // shard result + checkpoint files land here
-  bool checkpoint = true;  // per-shard JSONL checkpoints (resume on re-run)
-  bool quiet = true;       // suppress per-shard progress lines
-  bool telemetry = true;   // per-shard progress sidecars (campaign status)
-  bool collect_metrics = false;  // per-job metric registries in the results
-  // Fault injection applied to each shard's *first* attempt (fork path
-  // only — the sequential fallback shares the orchestrator's process, so
-  // killing a "worker" would kill the run). Restarted shards run
-  // chaos-free: the restart exists to recover from the fault, not to
-  // re-inject it.
-  ChaosOptions chaos;
-};
-
-// Forks one worker process per shard (POSIX; elsewhere the shards run
-// sequentially in-process — same files, same merged result, no
-// parallelism), waits for all of them, then merges the shard files.
-// `merged` receives the full submission-order result vector; `shard_files`
-// (optional) the written paths. A worker that exits abnormally is
-// restarted exactly once — with checkpointing on, the restart resumes from
-// the dead worker's checkpoint instead of recomputing the slice — and a
-// second failure aborts the run with an error naming the shard and its
-// checkpoint path. The merge validates exactly-once coverage, so a failed
-// worker can never yield a silently partial campaign.
-bool run_campaign_sharded_local(const std::string& campaign_name,
-                                const std::vector<scenario::ScenarioSpec>& specs,
-                                const SpawnOptions& options,
-                                std::vector<scenario::JobResult>* merged,
-                                std::vector<std::string>* shard_files,
-                                std::string* error);
 
 }  // namespace secbus::campaign

@@ -11,7 +11,7 @@
 // heartbeat payload: workers sample progress with a ProgressSampler, ship
 // the record inside each heartbeat message, and the server writes the
 // records into ordinary sidecars — so `campaign status` renders a remote
-// fleet and a local --spawn run identically.
+// fleet and local `--shard i/N` runs identically.
 //
 // Telemetry is wall-clock data — throughput, elapsed time, the process-wide
 // format-cache hit counters — and therefore deliberately lives *outside*

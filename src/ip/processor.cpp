@@ -20,7 +20,6 @@ Processor::Processor(std::string name, sim::MasterId id, std::uint64_t seed,
   SECBUS_ASSERT(workload_.threads >= 1, "at least one thread");
   compute_remaining_ =
       rng_.range(workload_.compute_min, workload_.compute_max);
-  last_gap_ = compute_remaining_;
 }
 
 bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
@@ -66,10 +65,6 @@ bus::BusTransaction Processor::next_transaction(sim::Cycle now) {
   t.id = bus::make_trans_id(id_, ++seq_);
   t.thread = static_cast<bus::ThreadId>(seq_ % workload_.threads);
   t.issued_at = now;
-  if (workload_.capture_trace) {
-    captured_.push_back(TraceRecord{last_gap_, t.op, t.addr, t.format,
-                                    t.burst_len});
-  }
   return t;
 }
 
@@ -107,7 +102,6 @@ void Processor::tick(sim::Cycle now) {
       }
       compute_remaining_ =
           rng_.range(workload_.compute_min, workload_.compute_max);
-      last_gap_ = compute_remaining_;
       state_ = State::kComputing;
       break;
     }
@@ -152,9 +146,7 @@ void Processor::reset() {
   rng_ = util::Xoshiro256(seed_);
   state_ = State::kComputing;
   compute_remaining_ = rng_.range(workload_.compute_min, workload_.compute_max);
-  last_gap_ = compute_remaining_;
   seq_ = 0;
-  captured_.clear();
   stats_ = {};
 }
 

@@ -1,5 +1,5 @@
 // Restart recovery + epoch fencing over FakeTransport: a server killed
-// mid-campaign and restarted with `resume` must replay its lease journal
+// mid-campaign and restarted with `resume` must replay its fleet log
 // (committed shards stay done, everything else back to pending), bump its
 // epoch, refuse pre-restart zombie results, and still produce merged
 // output byte-identical to a single-process run.
@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/audit.hpp"
 #include "campaign/fleet.hpp"
-#include "campaign/journal.hpp"
 #include "campaign/report.hpp"
 #include "campaign/telemetry.hpp"
 #include "net/fake_transport.hpp"
@@ -139,7 +139,7 @@ TEST_F(FleetRestartTest, ResumeRestoresCommitsFencesZombiesAndStaysByteIdentical
     FleetServer server(fake1, spec_, options(2, dir));
     ASSERT_TRUE(server.init_error().empty()) << server.init_error();
     EXPECT_EQ(server.epoch(), 0u);
-    ASSERT_FALSE(server.journal_path().empty());
+    ASSERT_FALSE(server.audit_path().empty());
 
     const ConnId w1 = handshake(fake1, server, "w1");
     const LeaseGrant g0 = grant_via(fake1, server, w1);
@@ -150,11 +150,11 @@ TEST_F(FleetRestartTest, ResumeRestoresCommitsFencesZombiesAndStaysByteIdentical
 
     stale = grant_via(fake1, server, w1);
     ASSERT_EQ(stale.shard, 1u);
-    // Destroying the server here *is* the crash: the journal has shard 0's
+    // Destroying the server here *is* the crash: the log has shard 0's
     // commit but no trace of shard 1 completing.
   }
 
-  // --- a fresh serve over the crashed journal must refuse ----------------
+  // --- a fresh serve over the crashed log must refuse --------------------
   {
     FakeTransport fresh_fake;
     FleetServer fresh(fresh_fake, spec_, options(2, dir));
@@ -213,8 +213,8 @@ TEST_F(FleetRestartTest, ResumeRestoresCommitsFencesZombiesAndStaysByteIdentical
   EXPECT_EQ(campaign_json(CampaignReport::from(spec_.name, server.results())),
             campaign_json(CampaignReport::from(spec_.name, direct)));
 
-  // The completed journal is swept by the next fresh serve, which then
-  // starts at epoch 0 with a clean slate.
+  // The completed log is swept by the next fresh serve, which then starts
+  // at epoch 0 with a clean slate.
   {
     FakeTransport fake3;
     FleetServer next(fake3, spec_, options(2, dir));
@@ -224,8 +224,8 @@ TEST_F(FleetRestartTest, ResumeRestoresCommitsFencesZombiesAndStaysByteIdentical
   }
 }
 
-TEST_F(FleetRestartTest, ResumeWithoutJournalIsAnError) {
-  TempDir dir("no-journal");
+TEST_F(FleetRestartTest, ResumeWithoutLogIsAnError) {
+  TempDir dir("no-log");
   FakeTransport fake;
   FleetServerOptions opt = options(2, dir);
   opt.resume = true;
@@ -237,38 +237,26 @@ TEST_F(FleetRestartTest, ResumeWithoutJournalIsAnError) {
 
 TEST_F(FleetRestartTest, ResumeRefusesIdentityMismatch) {
   TempDir dir("identity");
-  // A journal for the same campaign name but a different shard count must
-  // not resume — the committed shard files would not line up.
+  // A log for the same campaign name but a different shard count must not
+  // resume — the committed shard files would not line up.
   {
-    FleetJournal journal;
-    const std::string path =
-        dir.path() + "/" + journal_file_name(spec_.name);
-    ASSERT_TRUE(journal.open(path));
-    ASSERT_TRUE(journal.append_epoch(0, spec_.name, 5, 3, 0x1234u));
+    AuditLog log;
+    ASSERT_TRUE(log.open(dir.path() + "/" + audit_file_name(spec_.name)));
+    AuditRecord start;
+    start.event = AuditEvent::kServerStart;
+    start.campaign = spec_.name;
+    start.shards = 5;
+    start.jobs = 3;
+    start.grid_fp = 0x1234u;
+    ASSERT_TRUE(log.append(start));
   }
   FakeTransport fake;
   FleetServerOptions opt = options(2, dir);
   opt.resume = true;
   FleetServer server(fake, spec_, opt);
   EXPECT_FALSE(server.init_error().empty());
-  EXPECT_NE(server.init_error().find("journal"), std::string::npos)
+  EXPECT_NE(server.init_error().find("different campaign"), std::string::npos)
       << server.init_error();
-}
-
-TEST_F(FleetRestartTest, JournalOffPreservesLegacyBehavior) {
-  TempDir dir("off");
-  FakeTransport fake;
-  FleetServerOptions opt = options(1, dir);
-  opt.journal = false;
-  FleetServer server(fake, spec_, opt);
-  EXPECT_TRUE(server.init_error().empty());
-  EXPECT_TRUE(server.journal_path().empty());
-  const ConnId w1 = handshake(fake, server, "w1");
-  const LeaseGrant grant = grant_via(fake, server, w1);
-  run_and_submit(fake, server, w1, grant, grant.epoch);
-  ASSERT_TRUE(server.finished());
-  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/" +
-                                       journal_file_name(spec_.name)));
 }
 
 }  // namespace

@@ -57,22 +57,21 @@
 //                       job index) and write <out>/<name>.shard-i-of-N.json
 //                       instead of the aggregate reports; shard runs
 //                       checkpoint to <out>/<name>.shard-i-of-N.ckpt.jsonl
-//                       by default, so re-running resumes after a crash
-//     --spawn N         fork N local single-shard worker processes, wait,
-//                       merge their shard files and emit the normal reports
-//                       (byte-identical to an unsharded run)
+//                       by default, so re-running resumes after a crash;
+//                       `campaign merge` recombines the N shard files into
+//                       the reports an unsharded run writes
 //     --checkpoint PATH crash-safe JSONL checkpoint (resume + append).
-//                       Checkpointing is on by default for --shard/--spawn
-//                       (per-shard paths derived under --out; an explicit
-//                       PATH is rejected with --spawn) and opt-in via this
-//                       flag for plain runs
+//                       Checkpointing is on by default for --shard (path
+//                       derived under --out) and opt-in via this flag for
+//                       plain runs
 //     --no-checkpoint   disable checkpointing
 //     --no-setup-cache  disable the per-process SoC-setup memo cache
 //                       (formatted hash trees / memory images); results are
 //                       bit-identical either way — this exists for baseline
 //                       benchmarking
 //       plus --jobs/--repeats/--no-files/--max-cycles/--quiet (--jobs is
-//       threads per process; with --spawn it applies to each worker).
+//       threads per process). For crash-isolated worker processes on one
+//       host, run `campaign serve` with loopback `campaign worker`s.
 //
 //   secbus_cli campaign merge <shard.json>... [--out DIR] [options]
 //       Recombines shard result files (all N of them) into the identical
@@ -86,9 +85,10 @@
 //
 //   secbus_cli campaign status [DIR]
 //       Scans DIR (default bench/out) for shard progress sidecars
-//       (*.progress.jsonl, written by --shard/--spawn workers) and renders
-//       each shard's latest record: done/total, throughput, setup-cache hit
-//       rate, finished/running. Exit 1 when no sidecars are found.
+//       (*.progress.jsonl, written by --shard runs and fleet servers) and
+//       renders each shard's latest record: done/total, throughput,
+//       setup-cache hit rate, finished/running. Exit 1 when no sidecars are
+//       found.
 //
 //   secbus_cli campaign export-builtin [--dir DIR]
 //       Writes every builtin scenario as an equivalent campaign file
@@ -114,21 +114,19 @@
 //                         GET /status (JSON lease table) on this port,
 //                         polled from the same loop as the fleet socket
 //                         (0 = ephemeral; printed on an "http:" line)
-//     --no-audit          skip the <out>/<name>.fleet-audit.jsonl lease
-//                         audit log (pure observability; artifacts are
-//                         identical either way)
-//     --no-journal        skip the <out>/<name>.fleet-journal.jsonl lease
-//                         journal (disables --resume for this run)
-//     --resume            recover a killed server from its lease journal:
-//                         journaled shard commits stay done, everything
-//                         else returns to pending, and the server epoch
-//                         bumps so results minted under the dead
-//                         incarnation are refused (zombie fencing)
+//     --no-audit          skip the <out>/<name>.fleet-audit.jsonl fleet log
+//                         (artifacts are identical either way, but a
+//                         server without it cannot be resumed)
+//     --resume            recover a killed server from its fleet log:
+//                         logged shard commits stay done, everything else
+//                         returns to pending, and the server epoch bumps so
+//                         results minted under the dead incarnation are
+//                         refused (zombie fencing). Refused with --no-audit
 //       plus --jobs/--repeats/--max-cycles/--metrics/--quiet etc. —
 //       repeats/max-cycles/metrics shape the grid and are announced to
 //       workers, which verify the resulting grid fingerprint.
 //       SECBUS_CHAOS=kill_server_after:<n> _Exit()s the server right after
-//       the n-th journaled commit (fault injection for --resume);
+//       the n-th logged commit (fault injection for --resume);
 //       net:drop=..,delay_ms=a..b,... makes the server's side of every
 //       connection lossy too.
 //
@@ -217,7 +215,7 @@ namespace {
       "              [--extra-rules A,B] [--line-bytes A,B] [--external A,B]\n"
       "              [run options]\n"
       "       %s campaign run <file.json> [--out DIR] [--cells-csv PATH]\n"
-      "              [--shard i/N] [--spawn N] [--checkpoint PATH]\n"
+      "              [--shard i/N] [--checkpoint PATH]\n"
       "              [--no-checkpoint] [--no-setup-cache] [run options]\n"
       "       %s campaign merge <shard.json>... [--out DIR] [run options]\n"
       "       %s campaign validate <file.json>...\n"
@@ -226,7 +224,7 @@ namespace {
       "       %s campaign serve <file.json> [--port N] [--shards N]\n"
       "              [--out DIR] [--lease-timeout MS] [--heartbeat MS]\n"
       "              [--listen-any] [--cells-csv PATH] [--http-port N]\n"
-      "              [--no-audit] [--no-journal] [--resume] [run options]\n"
+      "              [--no-audit] [--resume] [run options]\n"
       "       %s campaign worker <host:port> [--jobs N] [--out DIR]\n"
       "              [--id NAME] [--reconnect N] [--backoff MS]\n"
       "              [--no-checkpoint] [--no-setup-cache] [--quiet]\n"
@@ -325,9 +323,9 @@ bool parse_batch_option(int argc, char** argv, int& i, BatchCliOptions& opt) {
 }
 
 // Applies the shared CLI post-processing to an expanded spec list: seed
-// replication and the cycle-cap override. Every execution path — plain,
-// sharded, spawned — prepares specs identically, so shard fingerprints and
-// job order agree across processes and invocations.
+// replication and the cycle-cap override. Every execution path — plain
+// or sharded — prepares specs identically, so shard fingerprints and job
+// order agree across processes and invocations.
 std::vector<scenario::ScenarioSpec> prepare_specs(
     std::vector<scenario::ScenarioSpec> specs, const BatchCliOptions& opt) {
   specs = scenario::replicate_seeds(std::move(specs), opt.repeats);
@@ -576,8 +574,8 @@ int cmd_sweep(int argc, char** argv) {
 
 // Renders + writes the campaign outputs (table or quiet line; cells CSV,
 // campaign JSON, per-job CSV) for a complete submission-order result
-// vector. Shared by the plain run, --spawn and `campaign merge` so all
-// three emit byte-identical artifacts from identical results.
+// vector. Shared by the plain run, `campaign merge` and `campaign serve` so
+// all three emit byte-identical artifacts from identical results.
 int emit_campaign_outputs(const std::string& name,
                           const std::vector<scenario::JobResult>& results,
                           const BatchCliOptions& opt,
@@ -686,7 +684,6 @@ int cmd_campaign_run(int argc, char** argv) {
   std::string cells_csv_path;
   std::size_t shard_index = 0;
   std::size_t shard_total = 0;  // 0 = not sharded
-  std::size_t spawn = 0;        // 0 = no worker processes
   std::string checkpoint_path;
   bool no_checkpoint = false;
   for (int i = 4; i < argc; ++i) {
@@ -704,10 +701,6 @@ int cmd_campaign_run(int argc, char** argv) {
       if (!parse_shard_selector(next(), shard_index, shard_total)) {
         usage(argv[0]);
       }
-    } else if (arg == "--spawn") {
-      std::uint64_t u = 0;
-      if (!parse_u64(next(), u) || u < 1 || u > 64) usage(argv[0]);
-      spawn = static_cast<std::size_t>(u);
     } else if (arg == "--checkpoint") {
       checkpoint_path = next();
     } else if (arg == "--no-checkpoint") {
@@ -718,22 +711,9 @@ int cmd_campaign_run(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (shard_total != 0 && spawn != 0) {
-    std::fprintf(stderr, "error: --shard and --spawn are mutually exclusive\n");
-    return 1;
-  }
   if (!opt.trace_path.empty()) {
     std::fprintf(stderr,
                  "error: --trace applies to `run`/`sweep`, not campaigns\n");
-    return 1;
-  }
-  if (spawn != 0 && !checkpoint_path.empty()) {
-    // Spawned workers each need their own checkpoint; a single shared path
-    // would be silently ignored. Per-shard files derive under --out.
-    std::fprintf(stderr,
-                 "error: --checkpoint PATH does not combine with --spawn "
-                 "(workers checkpoint per shard under --out; use "
-                 "--no-checkpoint to disable)\n");
     return 1;
   }
 
@@ -752,39 +732,6 @@ int cmd_campaign_run(int argc, char** argv) {
                  static_cast<unsigned long long>(opt.repeats),
                  campaign::kMaxCampaignJobs);
     return 1;
-  }
-
-  // --- spawn: N local worker processes over the shards, then merge -------
-  if (spawn != 0) {
-    const std::vector<scenario::ScenarioSpec> specs =
-        prepare_specs(campaign::expand_campaign(spec), opt);
-    campaign::SpawnOptions spawn_opt;
-    spawn_opt.shards = spawn;
-    spawn_opt.threads_per_shard = opt.jobs == 0 ? 1 : opt.jobs;
-    spawn_opt.out_dir = out_dir;
-    spawn_opt.checkpoint = !no_checkpoint;
-    spawn_opt.quiet = opt.quiet;
-    spawn_opt.collect_metrics = opt.metrics;
-    if (!opt.quiet) {
-      std::printf("campaign %s: %zu job(s) across %zu worker process(es), "
-                  "%u thread(s) each\n",
-                  spec.name.c_str(), specs.size(), spawn,
-                  spawn_opt.threads_per_shard);
-    }
-    std::vector<scenario::JobResult> merged;
-    std::vector<std::string> shard_files;
-    if (!campaign::run_campaign_sharded_local(spec.name, specs, spawn_opt,
-                                              &merged, &shard_files, &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    if (!opt.quiet) {
-      for (const std::string& path : shard_files) {
-        std::printf("shard file: %s\n", path.c_str());
-      }
-    }
-    return emit_campaign_outputs(spec.name, merged, opt, out_dir,
-                                 cells_csv_path);
   }
 
   // --- shard worker: run slice i/N, write the shard result file ----------
@@ -1036,17 +983,15 @@ int cmd_campaign_serve(int argc, char** argv) {
       http_port = static_cast<std::uint16_t>(u);
     } else if (arg == "--no-audit") {
       serve_opt.audit = false;
-    } else if (arg == "--no-journal") {
-      serve_opt.journal = false;
     } else if (arg == "--resume") {
       serve_opt.resume = true;
     } else {
       usage(argv[0]);
     }
   }
-  if (serve_opt.resume && !serve_opt.journal) {
-    std::fprintf(stderr, "error: --resume needs the lease journal "
-                         "(drop --no-journal)\n");
+  if (serve_opt.resume && !serve_opt.audit) {
+    std::fprintf(stderr, "error: --resume replays the fleet log "
+                         "(drop --no-audit)\n");
     return 1;
   }
   if (!opt.trace_path.empty()) {
@@ -1109,7 +1054,7 @@ int cmd_campaign_serve(int argc, char** argv) {
               serve_opt.resume ? " (resumed)" : "");
   if (serve_opt.resume) {
     std::printf("fleet: epoch %llu, %zu shard(s) already committed in the "
-                "journal\n",
+                "fleet log\n",
                 static_cast<unsigned long long>(server.epoch()),
                 server.resumed_shards());
   }
@@ -1157,12 +1102,8 @@ int cmd_campaign_serve(int argc, char** argv) {
     return 1;
   }
   http_server.close();
-  if (serve_opt.audit && !server.audit_path().empty()) {
+  if (!server.audit_path().empty()) {
     std::printf("fleet: lease audit log at %s\n", server.audit_path().c_str());
-  }
-  if (serve_opt.journal && !server.journal_path().empty()) {
-    std::printf("fleet: lease journal at %s\n",
-                server.journal_path().c_str());
   }
   if (server.reassignments() != 0) {
     std::fprintf(stderr, "fleet: %zu lease reassignment(s) during this run\n",
