@@ -3,9 +3,11 @@
 // from the computing path, across protection modes, seeds and threads.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "core/format_cache.hpp"
 #include "scenario/scenario.hpp"
 #include "soc/presets.hpp"
@@ -151,6 +153,34 @@ TEST_F(FormatCacheTest, ConcurrentConstructionIsSafeAndConverges) {
   for (std::thread& t : pool) t.join();
   for (int t = 1; t < 8; ++t) EXPECT_EQ(roots[0], roots[t]);
   EXPECT_EQ(FormatCache::instance().stats().insertions, 1u);
+}
+
+TEST_F(FormatCacheTest, AttackGridHitAccountingIsExact) {
+  // attack_grid's 288 distributed jobs need 7 distinct formats (one ciphered
+  // per seed, one plaintext shared across seeds); centralized jobs have no
+  // LCF and never consult the cache.
+  campaign::CampaignSpec campaign;
+  std::string error;
+  ASSERT_TRUE(campaign::load_campaign_file(
+      SECBUS_REPO_DIR "/examples/campaigns/attack_grid.json", campaign,
+      &error))
+      << error;
+  const std::vector<scenario::ScenarioSpec> specs =
+      campaign::expand_campaign(campaign);
+  ASSERT_EQ(specs.size(), 576u);
+
+  for (const scenario::ScenarioSpec& spec : specs) soc::Soc soc(spec.soc);
+  const FormatCache::Stats cold = FormatCache::instance().stats();
+  EXPECT_EQ(cold.misses, 7u);
+  EXPECT_EQ(cold.insertions, 7u);
+  EXPECT_EQ(cold.hits, 281u);
+  EXPECT_EQ(cold.evictions, 0u);
+
+  for (const scenario::ScenarioSpec& spec : specs) soc::Soc soc(spec.soc);
+  const FormatCache::Stats warm = FormatCache::instance().stats();
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.insertions, cold.insertions);
+  EXPECT_EQ(warm.hits, cold.hits + 288u);
 }
 
 }  // namespace

@@ -65,10 +65,6 @@
 //                       derived under --out) and opt-in via this flag for
 //                       plain runs
 //     --no-checkpoint   disable checkpointing
-//     --no-setup-cache  disable the per-process SoC-setup memo cache
-//                       (formatted hash trees / memory images); results are
-//                       bit-identical either way — this exists for baseline
-//                       benchmarking
 //       plus --jobs/--repeats/--no-files/--max-cycles/--quiet (--jobs is
 //       threads per process). For crash-isolated worker processes on one
 //       host, run `campaign serve` with loopback `campaign worker`s.
@@ -183,7 +179,6 @@
 #include "crypto/backend.hpp"
 #include "campaign/shard.hpp"
 #include "campaign/telemetry.hpp"
-#include "core/format_cache.hpp"
 #include "net/http.hpp"
 #include "obs/exposition.hpp"
 #include "obs/fleet_timeline.hpp"
@@ -216,7 +211,7 @@ namespace {
       "              [run options]\n"
       "       %s campaign run <file.json> [--out DIR] [--cells-csv PATH]\n"
       "              [--shard i/N] [--checkpoint PATH]\n"
-      "              [--no-checkpoint] [--no-setup-cache] [run options]\n"
+      "              [--no-checkpoint] [run options]\n"
       "       %s campaign merge <shard.json>... [--out DIR] [run options]\n"
       "       %s campaign validate <file.json>...\n"
       "       %s campaign status [DIR]\n"
@@ -227,7 +222,7 @@ namespace {
       "              [--no-audit] [--resume] [run options]\n"
       "       %s campaign worker <host:port> [--jobs N] [--out DIR]\n"
       "              [--id NAME] [--reconnect N] [--backoff MS]\n"
-      "              [--no-checkpoint] [--no-setup-cache] [--quiet]\n"
+      "              [--no-checkpoint] [--quiet]\n"
       "       %s campaign top <host:port> [--interval MS] [--once]\n"
       "       %s campaign timeline <audit.jsonl> [--out PATH]\n"
       "       %s [--cpus N] [--topology flat|starN|meshRxC]\n"
@@ -705,8 +700,6 @@ int cmd_campaign_run(int argc, char** argv) {
       checkpoint_path = next();
     } else if (arg == "--no-checkpoint") {
       no_checkpoint = true;
-    } else if (arg == "--no-setup-cache") {
-      core::FormatCache::instance().set_enabled(false);
     } else {
       usage(argv[0]);
     }
@@ -1143,8 +1136,6 @@ int cmd_campaign_worker(int argc, char** argv) {
       worker_opt.checkpoint = false;
     } else if (arg == "--quiet") {
       worker_opt.quiet = true;
-    } else if (arg == "--no-setup-cache") {
-      core::FormatCache::instance().set_enabled(false);
     } else {
       usage(argv[0]);
     }
