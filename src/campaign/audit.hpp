@@ -96,7 +96,6 @@ bool audit_record_from_json(const util::Json& j, AuditRecord& out,
 class AuditLog {
  public:
   bool open(const std::string& path) { return writer_.open(path); }
-  [[nodiscard]] bool is_open() const noexcept { return writer_.is_open(); }
 
   // False when the record did not reach the file (including while the log
   // is closed).

@@ -1,8 +1,10 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
+#include "scenario/sweep.hpp"
 #include "soc/soc.hpp"
 #include "util/bitops.hpp"
 #include "util/fileio.hpp"
@@ -297,6 +299,26 @@ std::vector<scenario::ScenarioSpec> expand_campaign(
     }
   }
   return jobs;
+}
+
+bool expand_grid(const CampaignSpec& campaign, const GridOptions& grid,
+                 std::vector<scenario::ScenarioSpec>& out,
+                 std::string* error) {
+  // A division, so a hostile repeats count cannot overflow the product.
+  const std::size_t jobs = std::max<std::size_t>(campaign.job_count(), 1);
+  const std::uint64_t max_repeats = kMaxCampaignJobs / jobs;
+  if (grid.repeats == 0 || grid.repeats > max_repeats) {
+    return fail(error, "grid.repeats",
+                "got " + std::to_string(grid.repeats) + "; a " +
+                    std::to_string(jobs) + "-job grid allows 1.." +
+                    std::to_string(max_repeats) + " under the " +
+                    std::to_string(kMaxCampaignJobs) + "-job cap");
+  }
+  out = scenario::replicate_seeds(expand_campaign(campaign), grid.repeats);
+  if (grid.max_cycles != 0) {
+    for (scenario::ScenarioSpec& spec : out) spec.max_cycles = grid.max_cycles;
+  }
+  return true;
 }
 
 CampaignSpec campaign_from_builtin(const scenario::NamedScenario& entry) {

@@ -27,6 +27,7 @@
 // stable and every derived report is reproducible.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,26 @@ bool validate_campaign(const CampaignSpec& campaign, std::string* error);
 // attack axis is active.
 [[nodiscard]] std::vector<scenario::ScenarioSpec> expand_campaign(
     const CampaignSpec& campaign);
+
+// --- grid shaping -----------------------------------------------------------
+
+// The batch options that change what a grid *means*, not just how it runs.
+// The fleet server announces them and every worker applies them before
+// fingerprint-checking its expansion, so `--repeats`/`--max-cycles` drift
+// is caught up front, not at merge time.
+struct GridOptions {
+  std::uint64_t repeats = 1;
+  std::uint64_t max_cycles = 0;  // 0 = keep each spec's cap
+  bool collect_metrics = false;
+};
+
+// expand_campaign, then seed replication, then the cycle-cap override: the
+// one grid expansion behind `run`/`sweep`, `campaign run` and both fleet
+// endpoints, so job order and fingerprints agree however a grid runs. A
+// repeats count of 0, or one that would push the grid past kMaxCampaignJobs,
+// is a "grid.repeats" error raised before anything is allocated.
+bool expand_grid(const CampaignSpec& campaign, const GridOptions& grid,
+                 std::vector<scenario::ScenarioSpec>& out, std::string* error);
 
 // --- builtin registry as data -----------------------------------------------
 // Wraps a registry entry into an equivalent campaign (same base spec, same

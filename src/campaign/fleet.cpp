@@ -11,7 +11,6 @@
 
 #include "crypto/backend.hpp"
 #include "net/netstats.hpp"
-#include "scenario/sweep.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -51,9 +50,9 @@ void sleep_ms(std::uint64_t ms) {
 
 }  // namespace
 
-// --- grid shaping -----------------------------------------------------------
+// --- grid options on the wire ----------------------------------------------
 
-Json fleet_grid_to_json(const FleetGridOptions& grid) {
+Json fleet_grid_to_json(const GridOptions& grid) {
   Json j = Json::object();
   j.set("repeats", Json::number(grid.repeats));
   j.set("max_cycles", Json::number(grid.max_cycles));
@@ -61,10 +60,10 @@ Json fleet_grid_to_json(const FleetGridOptions& grid) {
   return j;
 }
 
-bool fleet_grid_from_json(const Json& j, FleetGridOptions& out,
+bool fleet_grid_from_json(const Json& j, GridOptions& out,
                           std::string* error) {
   if (!j.is_object()) return fail(error, "grid: expected an object");
-  FleetGridOptions grid;
+  GridOptions grid;
   if (!u64_field(j, "repeats", grid.repeats) ||
       !u64_field(j, "max_cycles", grid.max_cycles)) {
     return fail(error, "grid: missing u64 \"repeats\"/\"max_cycles\"");
@@ -76,18 +75,6 @@ bool fleet_grid_from_json(const Json& j, FleetGridOptions& out,
   grid.collect_metrics = metrics->as_bool();
   out = grid;
   return true;
-}
-
-std::vector<scenario::ScenarioSpec> expand_fleet_grid(
-    const CampaignSpec& campaign, const FleetGridOptions& grid) {
-  std::vector<scenario::ScenarioSpec> specs = scenario::replicate_seeds(
-      expand_campaign(campaign), grid.repeats == 0 ? 1 : grid.repeats);
-  if (grid.max_cycles != 0) {
-    for (scenario::ScenarioSpec& spec : specs) {
-      spec.max_cycles = grid.max_cycles;
-    }
-  }
-  return specs;
 }
 
 // --- wire messages ----------------------------------------------------------
@@ -301,17 +288,18 @@ FleetServer::FleetServer(net::Transport& transport,
       options_(std::move(options)),
       campaign_name_(campaign.name) {
   if (options_.shards == 0) options_.shards = 1;
-  specs_ = expand_fleet_grid(campaign, options_.grid);
-  grid_fp_ = grid_fingerprint(specs_);
   leases_.reset(options_.shards, options_.lease_timeout_ms);
   shard_paths_.assign(options_.shards, std::string());
+  start_ms_ = transport_.now_ms();
+  // A constructor cannot return false, so failures park in init_error_ and
+  // the first step() reports them.
+  if (!expand_grid(campaign, options_.grid, specs_, &init_error_)) return;
+  grid_fp_ = grid_fingerprint(specs_);
   std::error_code ec;
   std::filesystem::create_directories(options_.out_dir, ec);
-  start_ms_ = transport_.now_ms();
 
   // The fleet log first: it decides the epoch the campaign message
-  // announces. A constructor cannot return false, so failures park in
-  // init_error_ and the first step() reports them.
+  // announces.
   open_fleet_log();
 
   Json msg = Json::object();
@@ -330,12 +318,6 @@ FleetServer::FleetServer(net::Transport& transport,
 // Replays (on resume) or vets (fresh serve) an existing fleet log, then
 // opens it for this incarnation with a server_start record.
 void FleetServer::open_fleet_log() {
-  if (!options_.audit) {
-    if (options_.resume) {
-      init_error_ = "resume needs the fleet log, which auditing off disables";
-    }
-    return;
-  }
   audit_path_ = (std::filesystem::path(options_.out_dir) /
                  audit_file_name(campaign_name_))
                     .string();
@@ -414,7 +396,6 @@ void FleetServer::open_fleet_log() {
 FleetServer::~FleetServer() = default;
 
 bool FleetServer::audit(AuditRecord record) {
-  if (!audit_.is_open()) return true;
   const std::uint64_t now = transport_.now_ms();
   record.t_ms = now > start_ms_ ? now - start_ms_ : 0;
   record.epoch = epoch_;
@@ -718,7 +699,6 @@ void FleetServer::handle_heartbeat(net::ConnId conn, const Json& message) {
   }
   audit(AuditEvent::kExtend, static_cast<std::size_t>(shard), generation,
         peer.worker);
-  if (!options_.write_progress) return;
   if (have_progress) {
     if (ProgressWriter* writer =
             progress_writer(static_cast<std::size_t>(shard))) {
@@ -825,7 +805,7 @@ void FleetServer::handle_shard_done(net::ConnId conn, const Json& message,
   commit.worker = peer.worker;
   commit.detail = std::to_string(result_count) + " result(s)";
   commit.file = shard_paths_[commit.shard];
-  if (audit(std::move(commit)) && audit_.is_open()) {
+  if (audit(std::move(commit))) {
     chaos_maybe_kill_server(options_.chaos, ++commits_logged_);
   }
 }
@@ -841,17 +821,15 @@ bool FleetServer::accept_result(const std::string& worker,
           .string();
   if (!write_shard_file(path, file, error)) return false;
   shard_paths_[shard] = path;
-  if (options_.write_progress) {
-    if (ProgressWriter* writer = progress_writer(shard)) {
-      ProgressRecord record = final_progress;
-      record.campaign = campaign_name_;
-      record.shard = shard;
-      record.shards = options_.shards;
-      record.finished = true;
-      writer->append_record(record);
-    }
-    progress_.erase(shard);  // closes (flushes) the sidecar
+  if (ProgressWriter* writer = progress_writer(shard)) {
+    ProgressRecord record = final_progress;
+    record.campaign = campaign_name_;
+    record.shard = shard;
+    record.shards = options_.shards;
+    record.finished = true;
+    writer->append_record(record);
   }
+  progress_.erase(shard);  // closes (flushes) the sidecar
   log_event("fleet: shard %zu completed by worker %s (%zu result(s)) -> %s",
             shard, worker.c_str(), file.results.size(), path.c_str());
   return true;
@@ -1103,7 +1081,7 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
   bool have_campaign = false;
   bool fatal = false;  // campaign-level failure: do not retry
   std::string campaign_name;
-  FleetGridOptions grid;
+  GridOptions grid;
   std::vector<scenario::ScenarioSpec> specs;
   std::uint64_t grid_fp = 0;
   std::size_t shards = 0;
@@ -1137,14 +1115,15 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
       epoch = announced_epoch;
       return true;
     }
-    FleetGridOptions g;
+    GridOptions g;
     CampaignSpec spec;
+    std::vector<scenario::ScenarioSpec> expanded;
     if (!fleet_grid_from_json(*grid_json, g, err) ||
-        !campaign_from_json(*campaign_json, spec, err)) {
+        !campaign_from_json(*campaign_json, spec, err) ||
+        !expand_grid(spec, g, expanded, err)) {
       fatal = true;
       return false;
     }
-    std::vector<scenario::ScenarioSpec> expanded = expand_fleet_grid(spec, g);
     const std::uint64_t local_fp = grid_fingerprint(expanded);
     if (local_fp != announced_fp) {
       fatal = true;
@@ -1246,16 +1225,14 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
     ShardRunOptions run;
     run.shard = grant.shard;
     run.shards = shards;
-    run.threads = options.threads == 0 ? 1 : options.threads;
+    run.threads = options.threads;
     run.campaign = campaign_name;
     run.collect_metrics = grid.collect_metrics;
     run.chaos = options.chaos;
-    if (options.checkpoint) {
-      run.checkpoint_path =
-          (std::filesystem::path(options.out_dir) /
-           checkpoint_file_name(campaign_name, grant.shard, shards))
-              .string();
-    }
+    run.checkpoint_path =
+        (std::filesystem::path(options.out_dir) /
+         checkpoint_file_name(campaign_name, grant.shard, shards))
+            .string();
 
     auto shared = std::make_shared<HeartbeatShared>();
     shared->sampler.begin(campaign_name, grant.shard, shards);

@@ -84,28 +84,14 @@ namespace secbus::campaign {
 
 inline constexpr std::uint64_t kFleetProtocolVersion = 1;
 
-// --- grid shaping -----------------------------------------------------------
+// --- grid options on the wire ----------------------------------------------
 
-// The CLI batch options that change what a campaign grid *means* (not just
-// how it is executed). The server announces them in the campaign message
-// and every worker applies them identically before fingerprint-checking
-// the expanded grid — so `--repeats`/`--max-cycles` drift between fleet
-// participants is caught up front, not discovered at merge time.
-struct FleetGridOptions {
-  std::uint64_t repeats = 1;
-  std::uint64_t max_cycles = 0;  // 0 = keep each spec's cap
-  bool collect_metrics = false;
-};
-
-[[nodiscard]] util::Json fleet_grid_to_json(const FleetGridOptions& grid);
-bool fleet_grid_from_json(const util::Json& j, FleetGridOptions& out,
+// The campaign message's "grid" object (campaign.hpp GridOptions). Both
+// endpoints expand it through expand_grid, so an out-of-range repeats
+// count is refused by the same check on either side.
+[[nodiscard]] util::Json fleet_grid_to_json(const GridOptions& grid);
+bool fleet_grid_from_json(const util::Json& j, GridOptions& out,
                           std::string* error);
-
-// expand_campaign + seed replication + cycle-cap override, in the exact
-// order `campaign run` applies them. Single source of truth for both fleet
-// endpoints.
-[[nodiscard]] std::vector<scenario::ScenarioSpec> expand_fleet_grid(
-    const CampaignSpec& campaign, const FleetGridOptions& grid);
 
 // --- wire messages ----------------------------------------------------------
 
@@ -236,16 +222,11 @@ struct FleetServerOptions {
   std::uint64_t heartbeat_ms = 2'000;
   // Shard result files land here; heartbeat payloads mirror into
   // "<campaign>.shard-i-of-N.progress.jsonl" sidecars for `campaign
-  // status` (disable with write_progress = false).
+  // status`; every lease transition appends to the fleet log
+  // "<campaign>.fleet-audit.jsonl" (campaign/audit.hpp). A fresh serve
+  // refuses to start over an incomplete log (a crashed predecessor) unless
+  // `resume` is set, and removes a complete one.
   std::string out_dir = "bench/out";
-  bool write_progress = true;
-  // Appends every lease transition to the fleet log
-  // "<campaign>.fleet-audit.jsonl" in out_dir (campaign/audit.hpp). The log
-  // is what `resume` replays: a fresh serve refuses to start over an
-  // incomplete log (a crashed predecessor) unless `resume` is set, and
-  // removes a complete one. Disable for fleets that must not touch shared
-  // disk beyond the result files; such a fleet cannot resume.
-  bool audit = true;
   // Resume from the fleet log: committed shards stay done, the epoch bumps
   // past every logged one, and pre-restart zombies are fenced off.
   bool resume = false;
@@ -254,16 +235,16 @@ struct FleetServerOptions {
   // commit — the restart-recovery CI leg's murder weapon.
   ChaosOptions chaos;
   bool quiet = true;  // suppress per-event stdout lines (stderr warnings stay)
-  FleetGridOptions grid;
+  GridOptions grid;
 };
 
 // The lease-granting endpoint. Transport-abstracted: production runs it
 // over TcpServerTransport, the state-machine tests over FakeTransport.
 class FleetServer {
  public:
-  // Construction never throws; log/resume validation failures land in
-  // init_error() (a constructor cannot return false) and the first step()
-  // fails with that message.
+  // Construction never throws; grid and log/resume validation failures
+  // land in init_error() (a constructor cannot return false) and the first
+  // step() fails with that message.
   FleetServer(net::Transport& transport, const CampaignSpec& campaign,
               FleetServerOptions options);
   ~FleetServer();
@@ -271,9 +252,9 @@ class FleetServer {
   FleetServer(const FleetServer&) = delete;
   FleetServer& operator=(const FleetServer&) = delete;
 
-  // Non-empty when the fleet log refused construction (resume without a
-  // log, identity mismatch, incomplete log without resume, unwritable
-  // log). Check before run().
+  // Non-empty when construction failed: a grid expand_grid refuses, or a
+  // fleet log that refuses it (resume without a log, identity mismatch,
+  // incomplete log without resume, unwritable log). Check before run().
   [[nodiscard]] const std::string& init_error() const noexcept {
     return init_error_;
   }
@@ -337,7 +318,7 @@ class FleetServer {
   // entry per known worker. Timestamps are server-relative ms.
   [[nodiscard]] util::Json status_json() const;
 
-  // Fleet log path ("" when options.audit is off).
+  // Fleet log path ("" when construction failed before opening it).
   [[nodiscard]] const std::string& audit_path() const noexcept {
     return audit_path_;
   }
@@ -422,8 +403,7 @@ struct FleetWorkerOptions {
   // every worker of a local fleet at the *server's* out_dir and a
   // reassigned shard resumes from the dead worker's checkpoint.
   std::string out_dir = "bench/out";
-  unsigned threads = 1;
-  bool checkpoint = true;
+  unsigned threads = 1;  // batch-runner threads; 0 = all hardware threads
   // Reconnect budget after a lost connection (bounded exponential
   // backoff). The initial connect gets the same budget, so a worker
   // started moments before its server still attaches.

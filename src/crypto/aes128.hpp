@@ -18,8 +18,7 @@
 //   * kScalar — the byte-wise FIPS-197 textbook rounds, kept as the readable
 //     reference and for differential validation.
 // The default follows the process-wide backend (SECBUS_CRYPTO_BACKEND env,
-// the SECBUS_AES_SCALAR CMake option, else CPUID); set_impl() overrides per
-// context. FIPS-197 vectors run against every datapath.
+// else CPUID); set_impl() overrides per context. FIPS-197 vectors run against every datapath.
 //
 // Side-channel caveat: none of the datapaths — including AES-NI, whose key
 // schedule here is still computed with table lookups — is hardened against
@@ -163,7 +162,7 @@ inline constexpr TTable kTd3 = make_dec_ttable(3);
 }  // namespace detail
 
 // The datapath a newly constructed context uses: whatever the process-wide
-// backend selected (env override > SECBUS_AES_SCALAR build option > CPUID).
+// backend selected (env override > CPUID).
 [[nodiscard]] inline AesImpl default_aes_impl() noexcept {
   return active_backend().aes_impl;
 }

@@ -31,15 +31,11 @@ CpuFeatures detect_features() noexcept {
 }
 
 [[nodiscard]] BackendKind default_kind() noexcept {
-#ifdef SECBUS_AES_FORCE_SCALAR
-  return BackendKind::kScalar;
-#else
   const CpuFeatures& cpu = CpuFeatures::detect();
   const bool any_hw =
       accel::compiled() &&
       (cpu.aesni || (cpu.sha_ni && cpu.ssse3 && cpu.sse41));
   return any_hw ? BackendKind::kAccel : BackendKind::kPortable;
-#endif
 }
 
 Backend select_backend() noexcept {
@@ -211,13 +207,6 @@ std::string backend_report() {
   } else {
     out += "(unset)";
   }
-  out += '\n';
-  out += "build default:   ";
-#ifdef SECBUS_AES_FORCE_SCALAR
-  out += "scalar (SECBUS_AES_SCALAR=ON)";
-#else
-  out += "auto (CPUID)";
-#endif
   out += '\n';
   return out;
 }

@@ -15,9 +15,7 @@
 //   1. SECBUS_CRYPTO_BACKEND=portable|scalar|accel overrides everything
 //      (requesting accel on unsupported hardware falls back to portable
 //      with a one-time stderr warning);
-//   2. else the SECBUS_AES_SCALAR CMake option (SECBUS_AES_FORCE_SCALAR)
-//      defaults to scalar;
-//   3. else CPUID: accel when AES-NI or SHA extensions are present and the
+//   2. else CPUID: accel when AES-NI or SHA extensions are present and the
 //      accel TU was compiled with intrinsics, portable otherwise.
 //
 // Every backend produces bit-identical blocks, digests and therefore

@@ -297,29 +297,6 @@ TEST_F(FleetAuditTest, DisconnectIsAuditedAsRelease) {
   EXPECT_EQ(stats.unmatched, 0u);
 }
 
-TEST_F(FleetAuditTest, AuditCanBeDisabled) {
-  TempDir dir("disabled");
-  FleetServerOptions opt = options(1, dir);
-  opt.audit = false;
-  {
-    FleetServer server(fake_, spec_, opt);
-    EXPECT_TRUE(server.init_error().empty());
-    EXPECT_TRUE(server.audit_path().empty());
-    const ConnId w1 = handshake(server, "w1");
-    const LeaseGrant grant = grant_via(server, w1);
-    run_and_submit(server, w1, grant);
-    ASSERT_TRUE(server.finished());
-    EXPECT_FALSE(std::filesystem::exists(dir.file(audit_file_name(spec_.name))));
-  }
-  // Without the log there is nothing to resume from.
-  opt.resume = true;
-  FleetServer resumed(fake_, spec_, opt);
-  EXPECT_FALSE(resumed.init_error().empty());
-  std::string error;
-  EXPECT_FALSE(resumed.step(0, &error));
-  EXPECT_EQ(error, resumed.init_error());
-}
-
 TEST_F(FleetAuditTest, UnopenableLogIsAnInitError) {
   // The log carries recovery state, so a server that cannot read or write
   // it must not start (no silent run without it). Two ways to get there:

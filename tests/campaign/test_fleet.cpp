@@ -10,7 +10,9 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,42 @@ class TempDir {
  private:
   std::filesystem::path path_;
 };
+
+// --- grid expansion ---------------------------------------------------------
+
+// A worker expands whatever grid the server announces, so a hostile or
+// typo'd repeats count must come back as a typed error naming its path —
+// checked before anything is allocated, and as a division so the job-count
+// product cannot overflow — never as an abort.
+TEST(GridExpansion, RepeatsOutsideTheJobCapIsATypedError) {
+  CampaignSpec spec;
+  std::string error;
+  ASSERT_TRUE(load_campaign_file(example_path("ci_smoke.json"), spec, &error))
+      << error;
+  const std::uint64_t jobs = spec.job_count();
+  for (const std::uint64_t repeats :
+       {std::uint64_t{0}, kMaxCampaignJobs / jobs + 1, std::uint64_t{1} << 40,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    GridOptions announced;
+    announced.repeats = repeats;
+    Json wire;
+    ASSERT_TRUE(Json::parse(fleet_grid_to_json(announced).dump(), wire));
+    GridOptions grid;
+    ASSERT_TRUE(fleet_grid_from_json(wire, grid, &error)) << error;
+    ASSERT_EQ(grid.repeats, repeats);
+    std::vector<scenario::ScenarioSpec> specs;
+    error.clear();
+    EXPECT_FALSE(expand_grid(spec, grid, specs, &error)) << repeats;
+    EXPECT_EQ(error.rfind("grid.repeats: ", 0), 0u) << error;
+    EXPECT_TRUE(specs.empty());
+  }
+
+  GridOptions three;
+  three.repeats = 3;
+  std::vector<scenario::ScenarioSpec> specs;
+  ASSERT_TRUE(expand_grid(spec, three, specs, &error)) << error;
+  EXPECT_EQ(specs.size(), 3 * jobs);
+}
 
 // --- LeaseManager -----------------------------------------------------------
 
@@ -231,6 +269,18 @@ class FleetServerTest : public ::testing::Test {
   FakeTransport fake_;
   CampaignSpec spec_;
 };
+
+TEST_F(FleetServerTest, OverCapGridIsAnInitError) {
+  TempDir dir("over-cap");
+  FleetServerOptions opt = options(2, dir);
+  opt.grid.repeats = kMaxCampaignJobs / spec_.job_count() + 1;
+  FleetServer server(fake_, spec_, opt);
+  EXPECT_EQ(server.init_error().rfind("grid.repeats: ", 0), 0u)
+      << server.init_error();
+  std::string error;
+  EXPECT_FALSE(server.step(0, &error));
+  EXPECT_EQ(error, server.init_error());
+}
 
 TEST_F(FleetServerTest, HelloRequiredBeforeAnythingElse) {
   TempDir dir("hello-required");

@@ -1,8 +1,9 @@
 // Shard determinism + checkpoint resume: the tentpole guarantees.
 //
 // For every example campaign, the merged union of N shard runs — executed
-// through the real shard files on disk — must be byte-identical (cells CSV
-// + campaign JSON) to the unsharded run, for N in {2, 4, 7}; and an
+// through the real shard files on disk — must be byte-identical (cells CSV,
+// jobs CSV and campaign JSON) to the unsharded run, for N in {1, 2, 4, 7}
+// (one shard is the path every plain `campaign run` takes); and an
 // interrupted shard must resume from its checkpoint without re-running or
 // duplicating jobs.
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/report.hpp"
 #include "campaign/shard.hpp"
+#include "scenario/report.hpp"
 #include "scenario/runner.hpp"
 #include "util/csv.hpp"
 #include "util/jsonl.hpp"
@@ -44,16 +46,16 @@ std::string campaign_name_of(const std::string& file) {
   return spec.name;
 }
 
-// Cells CSV rendered to a string (CsvWriter wants a path; go through tmp).
-std::string cells_csv_text(const CampaignReport& report) {
+// A CSV rendered to a string (CsvWriter wants a path; go through tmp).
+template <typename Write>
+std::string csv_text(const std::string& tag, Write write) {
   const std::string path =
       (std::filesystem::temp_directory_path() /
-       ("secbus_cells_" + std::to_string(::getpid()) + "_" + report.name +
-        ".csv"))
+       ("secbus_csv_" + std::to_string(::getpid()) + "_" + tag + ".csv"))
           .string();
   {
     util::CsvWriter csv(path);
-    write_cells_csv(csv, report);
+    write(csv);
     csv.flush();
   }
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -65,6 +67,18 @@ std::string cells_csv_text(const CampaignReport& report) {
   std::fclose(f);
   std::remove(path.c_str());
   return text;
+}
+
+std::string cells_csv_text(const CampaignReport& report) {
+  return csv_text(report.name + "_cells",
+                  [&](util::CsvWriter& csv) { write_cells_csv(csv, report); });
+}
+
+std::string jobs_csv_text(const std::string& name,
+                          const std::vector<scenario::JobResult>& results) {
+  return csv_text(name + "_jobs", [&](util::CsvWriter& csv) {
+    scenario::write_batch_csv(csv, results);
+  });
 }
 
 class TempDir {
@@ -102,6 +116,7 @@ void expect_sharded_equals_unsharded(const std::string& campaign_file,
   const CampaignReport direct_report = CampaignReport::from(name, direct);
   const std::string direct_json = campaign_json(direct_report);
   const std::string direct_cells = cells_csv_text(direct_report);
+  const std::string direct_jobs = jobs_csv_text(name, direct);
 
   // Run every shard independently, persist through real shard files, merge.
   TempDir dir(name + "-" + std::to_string(shards));
@@ -134,22 +149,24 @@ void expect_sharded_equals_unsharded(const std::string& campaign_file,
       << campaign_file << " with " << shards << " shards";
   EXPECT_EQ(cells_csv_text(merged_report), direct_cells)
       << campaign_file << " with " << shards << " shards";
+  EXPECT_EQ(jobs_csv_text(name, merged), direct_jobs)
+      << campaign_file << " with " << shards << " shards";
 }
 
 TEST(ShardDeterminism, CiSmokeMergesByteIdentical) {
-  for (const std::size_t shards : {2, 4, 7}) {
+  for (const std::size_t shards : {1, 2, 4, 7}) {
     expect_sharded_equals_unsharded(example_path("ci_smoke.json"), shards);
   }
 }
 
 TEST(ShardDeterminism, AttackGridMergesByteIdentical) {
-  for (const std::size_t shards : {2, 4, 7}) {
+  for (const std::size_t shards : {1, 2, 4, 7}) {
     expect_sharded_equals_unsharded(example_path("attack_grid.json"), shards);
   }
 }
 
 TEST(ShardDeterminism, PlacementMeshMergesByteIdentical) {
-  for (const std::size_t shards : {2, 4, 7}) {
+  for (const std::size_t shards : {1, 2, 4, 7}) {
     expect_sharded_equals_unsharded(example_path("placement_mesh.json"),
                                     shards);
   }

@@ -54,26 +54,21 @@
 //     --json PATH       campaign JSON  (default <out>/<name>.campaign.json)
 //     --csv PATH        per-job CSV    (default <out>/<name>.jobs.csv)
 //     --shard i/N       run only shard i of N (stable round-robin over the
-//                       job index) and write <out>/<name>.shard-i-of-N.json
-//                       instead of the aggregate reports; shard runs
-//                       checkpoint to <out>/<name>.shard-i-of-N.ckpt.jsonl
-//                       by default, so re-running resumes after a crash;
-//                       `campaign merge` recombines the N shard files into
-//                       the reports an unsharded run writes
-//     --checkpoint PATH crash-safe JSONL checkpoint (resume + append).
-//                       Checkpointing is on by default for --shard (path
-//                       derived under --out) and opt-in via this flag for
-//                       plain runs
-//     --no-checkpoint   disable checkpointing
-//       plus --jobs/--repeats/--no-files/--max-cycles/--quiet (--jobs is
-//       threads per process). For crash-isolated worker processes on one
-//       host, run `campaign serve` with loopback `campaign worker`s.
+//                       job index), checkpointed to <out>/<name>.shard-i-
+//                       of-N.ckpt.jsonl so a re-run resumes, and write
+//                       <out>/<name>.shard-i-of-N.json for `campaign merge`
+//                       instead of the reports. A plain run is shard 0 of 1
+//                       without a checkpoint; --shard 0/1 plus a merge is
+//                       the crash-safe single-process run
+//       plus --jobs/--repeats/--metrics/--no-files/--max-cycles/--quiet
+//       (--jobs is threads per process).
 //
 //   secbus_cli campaign merge <shard.json>... [--out DIR] [options]
 //       Recombines shard result files (all N of them) into the identical
 //       cells CSV + campaign JSON + weakest-cell ranking a single-process
 //       run would emit. Validates campaign identity, grid fingerprints and
-//       exactly-once job coverage before writing anything.
+//       exactly-once job coverage before writing anything. The shard files
+//       fix the grid: --jobs/--repeats/--max-cycles/--metrics are errors.
 //
 //   secbus_cli campaign validate <file.json>...
 //       Parses + validates each file, printing the job/cell counts or the
@@ -110,17 +105,15 @@
 //                         GET /status (JSON lease table) on this port,
 //                         polled from the same loop as the fleet socket
 //                         (0 = ephemeral; printed on an "http:" line)
-//     --no-audit          skip the <out>/<name>.fleet-audit.jsonl fleet log
-//                         (artifacts are identical either way, but a
-//                         server without it cannot be resumed)
-//     --resume            recover a killed server from its fleet log:
+//     --resume            recover a killed server from its fleet log
+//                         (<out>/<name>.fleet-audit.jsonl, always written):
 //                         logged shard commits stay done, everything else
 //                         returns to pending, and the server epoch bumps so
 //                         results minted under the dead incarnation are
-//                         refused (zombie fencing). Refused with --no-audit
-//       plus --jobs/--repeats/--max-cycles/--metrics/--quiet etc. —
-//       repeats/max-cycles/metrics shape the grid and are announced to
-//       workers, which verify the resulting grid fingerprint.
+//                         refused (zombie fencing)
+//       plus --repeats/--max-cycles/--metrics/--quiet etc. — they shape the
+//       grid and are announced to workers, which verify the resulting grid
+//       fingerprint; --jobs (each worker's own choice) is a usage error.
 //       SECBUS_CHAOS=kill_server_after:<n> _Exit()s the server right after
 //       the n-th logged commit (fault injection for --resume);
 //       net:drop=..,delay_ms=a..b,... makes the server's side of every
@@ -129,7 +122,7 @@
 //   secbus_cli campaign worker <host:port> [options]
 //       Fleet worker: connects (bounded exponential backoff), verifies the
 //       announced grid fingerprint against its own expansion, then runs
-//       granted shards — checkpointing under --out and heartbeating
+//       granted shards — always checkpointing under --out and heartbeating
 //       progress — until the server says done. SECBUS_CHAOS=kill_after:<n>
 //       makes the worker _Exit() after n checkpointed jobs (fault
 //       injection for the reassignment path);
@@ -137,7 +130,8 @@
 //       wraps the connection in a seeded lossy decorator (drops, delays,
 //       duplicates, truncations, resets) — see campaign/chaos.hpp for the
 //       full grammar; directives combine with ';'.
-//     --jobs N        batch threads inside this worker (default 1)
+//     --jobs N        batch threads inside this worker (default 1;
+//                     0 = all hardware threads)
 //     --out DIR       checkpoint directory; share it across local workers
 //                     (and the server) so reassignment resumes instead of
 //                     recomputing
@@ -168,6 +162,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <thread>
 #include <vector>
@@ -210,19 +205,18 @@ namespace {
       "              [--extra-rules A,B] [--line-bytes A,B] [--external A,B]\n"
       "              [run options]\n"
       "       %s campaign run <file.json> [--out DIR] [--cells-csv PATH]\n"
-      "              [--shard i/N] [--checkpoint PATH]\n"
-      "              [--no-checkpoint] [run options]\n"
-      "       %s campaign merge <shard.json>... [--out DIR] [run options]\n"
+      "              [--shard i/N] [run options]\n"
+      "       %s campaign merge <shard.json>... [--out DIR] [--cells-csv PATH]\n"
+      "              [--csv PATH] [--json PATH] [--no-files] [--quiet]\n"
       "       %s campaign validate <file.json>...\n"
       "       %s campaign status [DIR]\n"
       "       %s campaign export-builtin [--dir DIR]\n"
       "       %s campaign serve <file.json> [--port N] [--shards N]\n"
       "              [--out DIR] [--lease-timeout MS] [--heartbeat MS]\n"
       "              [--listen-any] [--cells-csv PATH] [--http-port N]\n"
-      "              [--no-audit] [--resume] [run options]\n"
+      "              [--resume] [run options but --jobs]\n"
       "       %s campaign worker <host:port> [--jobs N] [--out DIR]\n"
-      "              [--id NAME] [--reconnect N] [--backoff MS]\n"
-      "              [--no-checkpoint] [--quiet]\n"
+      "              [--id NAME] [--reconnect N] [--backoff MS] [--quiet]\n"
       "       %s campaign top <host:port> [--interval MS] [--once]\n"
       "       %s campaign timeline <audit.jsonl> [--out PATH]\n"
       "       %s [--cpus N] [--topology flat|starN|meshRxC]\n"
@@ -267,17 +261,14 @@ std::vector<std::string> split_commas(const std::string& text) {
 // soc::parse_protection_level, soc::parse_topology) and is shared with the
 // campaign-file reader.
 
-// Options shared by the `run` and `sweep` subcommands.
+// Options shared by the `run`, `sweep` and `campaign` subcommands.
 struct BatchCliOptions {
   unsigned jobs = 1;
-  std::uint64_t repeats = 1;
+  campaign::GridOptions grid;  // --repeats, --max-cycles, --metrics
   std::string csv_path;   // empty = default from scenario name
   std::string json_path;  // empty = default from scenario name
   bool no_files = false;
-  std::uint64_t max_cycles = 0;  // 0 = keep the scenario's cap
   bool quiet = false;
-  // Collect per-job component metrics (obs::Registry) into the JSON reports.
-  bool metrics = false;
   // Non-empty: run only the first expanded job, single-threaded, with a
   // large event-trace ring, and export a Chrome/Perfetto trace here.
   std::string trace_path;
@@ -296,7 +287,7 @@ bool parse_batch_option(int argc, char** argv, int& i, BatchCliOptions& opt) {
     opt.jobs = static_cast<unsigned>(u);
   } else if (arg == "--repeats" && parse_u64(next(), u) && u >= 1 &&
              u <= 10'000) {
-    opt.repeats = u;
+    opt.grid.repeats = u;
   } else if (arg == "--csv") {
     opt.csv_path = next();
   } else if (arg == "--json") {
@@ -304,11 +295,11 @@ bool parse_batch_option(int argc, char** argv, int& i, BatchCliOptions& opt) {
   } else if (arg == "--no-files") {
     opt.no_files = true;
   } else if (arg == "--max-cycles" && parse_u64(next(), u) && u >= 1) {
-    opt.max_cycles = u;
+    opt.grid.max_cycles = u;
   } else if (arg == "--quiet") {
     opt.quiet = true;
   } else if (arg == "--metrics") {
-    opt.metrics = true;
+    opt.grid.collect_metrics = true;
   } else if (arg == "--trace") {
     opt.trace_path = next();
   } else {
@@ -317,17 +308,18 @@ bool parse_batch_option(int argc, char** argv, int& i, BatchCliOptions& opt) {
   return true;
 }
 
-// Applies the shared CLI post-processing to an expanded spec list: seed
-// replication and the cycle-cap override. Every execution path — plain
-// or sharded — prepares specs identically, so shard fingerprints and job
-// order agree across processes and invocations.
-std::vector<scenario::ScenarioSpec> prepare_specs(
-    std::vector<scenario::ScenarioSpec> specs, const BatchCliOptions& opt) {
-  specs = scenario::replicate_seeds(std::move(specs), opt.repeats);
-  if (opt.max_cycles != 0) {
-    for (auto& spec : specs) spec.max_cycles = opt.max_cycles;
+// A batch option a subcommand cannot honour is a usage error, never a
+// silently ignored flag. True (after the message) when `arg` is one.
+bool refused_option(const std::string& arg, const char* command,
+                    std::initializer_list<const char*> refused) {
+  for (const char* flag : refused) {
+    if (arg == flag) {
+      std::fprintf(stderr, "error: %s does not apply to `%s`\n", flag,
+                   command);
+      return true;
+    }
   }
-  return specs;
+  return false;
 }
 
 // Strided progress for many-job campaigns: ~20 updates total. The batch
@@ -346,18 +338,29 @@ strided_progress(std::size_t jobs) {
   };
 }
 
-// Shared execution core for run/sweep/campaign: worker-pool setup and
-// progress reporting. Scenario runs print one line per finished job;
-// campaigns (thousands of jobs) print ~20 strided updates instead.
-std::vector<scenario::JobResult> execute_specs(
-    const char* kind, const std::string& name,
-    std::vector<scenario::ScenarioSpec> specs, const BatchCliOptions& opt,
-    bool per_job_progress) {
-  specs = prepare_specs(std::move(specs), opt);
+// Shared by `run` and `sweep`: expands the grid, runs it on the worker
+// pool with one progress line per finished job, then prints and writes the
+// batch reports.
+int run_jobs(const std::string& name, const campaign::CampaignSpec& grid,
+             const BatchCliOptions& options) {
+  BatchCliOptions opt = options;
+  std::vector<scenario::ScenarioSpec> specs;
+  std::string error;
+  if (!campaign::expand_grid(grid, opt.grid, specs, &error)) {
+    std::fprintf(stderr, "error: %s: %s\n", name.c_str(), error.c_str());
+    return 1;
+  }
+  if (!opt.trace_path.empty() && !specs.empty()) {
+    // Tracing runs one job, single-threaded: one deterministic SoC whose
+    // exported spans match its counters (see the trace example/test).
+    specs.resize(1);
+    opt.jobs = 1;
+  }
 
   scenario::BatchOptions batch;
   batch.threads = opt.jobs;
-  batch.hooks.collect_metrics = opt.metrics || !opt.trace_path.empty();
+  batch.hooks.collect_metrics =
+      opt.grid.collect_metrics || !opt.trace_path.empty();
   if (!opt.trace_path.empty()) {
     // Big enough that a whole scenario run fits in the ring — exported
     // spans then reconcile exactly with the SoC's counters.
@@ -386,34 +389,18 @@ std::vector<scenario::JobResult> execute_specs(
     };
   }
   if (!opt.quiet) {
-    std::printf("%s %s: %zu job(s) on %u thread(s)\n", kind, name.c_str(),
-                specs.size(), opt.jobs == 0 ? 0u : opt.jobs);
-    if (per_job_progress) {
-      batch.on_job_done = [](const scenario::JobResult& r, std::size_t done,
-                             std::size_t total) {
-        std::printf("  [%zu/%zu] %s %s\n", done, total,
-                    r.variant.empty() ? r.name.c_str() : r.variant.c_str(),
-                    r.soc.completed ? "done" : "TIMED OUT");
-        std::fflush(stdout);
-      };
-    } else {
-      batch.on_job_done = strided_progress(specs.size());
-    }
-  }
-  return scenario::run_batch(specs, batch);
-}
-
-int run_jobs(const std::string& name, std::vector<scenario::ScenarioSpec> specs,
-             const BatchCliOptions& options) {
-  BatchCliOptions opt = options;
-  if (!opt.trace_path.empty() && !specs.empty()) {
-    // Tracing runs one job, single-threaded: one deterministic SoC whose
-    // exported spans match its counters (see the trace example/test).
-    specs.resize(1);
-    opt.jobs = 1;
+    std::printf("scenario %s: %zu job(s) on %u thread(s)\n", name.c_str(),
+                specs.size(), opt.jobs);
+    batch.on_job_done = [](const scenario::JobResult& r, std::size_t done,
+                           std::size_t total) {
+      std::printf("  [%zu/%zu] %s %s\n", done, total,
+                  r.variant.empty() ? r.name.c_str() : r.variant.c_str(),
+                  r.soc.completed ? "done" : "TIMED OUT");
+      std::fflush(stdout);
+    };
   }
   const std::vector<scenario::JobResult> results =
-      execute_specs("scenario", name, std::move(specs), opt, true);
+      scenario::run_batch(specs, batch);
   const scenario::BatchAggregate aggregate =
       scenario::BatchAggregate::from(results);
 
@@ -482,7 +469,7 @@ int cmd_run(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     if (!parse_batch_option(argc, argv, i, opt)) usage(argv[0]);
   }
-  return run_jobs(name, scenario::expand(entry->spec, entry->axes), opt);
+  return run_jobs(name, campaign::campaign_from_builtin(*entry), opt);
 }
 
 int cmd_sweep(int argc, char** argv) {
@@ -561,10 +548,10 @@ int cmd_sweep(int argc, char** argv) {
                  base_name.c_str());
     return 1;
   }
+  campaign::CampaignSpec grid = campaign::campaign_from_builtin(*entry);
   // A custom sweep replaces the scenario's default axes.
-  const scenario::SweepAxes& effective = axes.empty() ? entry->axes : axes;
-  return run_jobs(base_name + "-sweep", scenario::expand(entry->spec, effective),
-                  opt);
+  if (!axes.empty()) grid.axes = axes;
+  return run_jobs(base_name + "-sweep", grid, opt);
 }
 
 // Renders + writes the campaign outputs (table or quiet line; cells CSV,
@@ -677,153 +664,100 @@ int cmd_campaign_run(int argc, char** argv) {
   BatchCliOptions opt;
   std::string out_dir = "bench/out";
   std::string cells_csv_path;
-  std::size_t shard_index = 0;
-  std::size_t shard_total = 0;  // 0 = not sharded
-  std::string checkpoint_path;
-  bool no_checkpoint = false;
+  // A plain run is shard 0 of 1 that keeps its results in memory: no
+  // checkpoint, no progress sidecar, no shard file, the aggregate reports.
+  campaign::ShardRunOptions run;
+  bool sharded = false;
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    if (refused_option(arg, "campaign run", {"--trace"})) return 1;
     if (parse_batch_option(argc, argv, i, opt)) continue;
     if (arg == "--out") {
       out_dir = next();
     } else if (arg == "--cells-csv") {
       cells_csv_path = next();
     } else if (arg == "--shard") {
-      if (!parse_shard_selector(next(), shard_index, shard_total)) {
+      if (!parse_shard_selector(next(), run.shard, run.shards)) {
         usage(argv[0]);
       }
-    } else if (arg == "--checkpoint") {
-      checkpoint_path = next();
-    } else if (arg == "--no-checkpoint") {
-      no_checkpoint = true;
+      sharded = true;
     } else {
       usage(argv[0]);
     }
   }
-  if (!opt.trace_path.empty()) {
-    std::fprintf(stderr,
-                 "error: --trace applies to `run`/`sweep`, not campaigns\n");
-    return 1;
-  }
 
   campaign::CampaignSpec spec;
+  std::vector<scenario::ScenarioSpec> specs;
   std::string error;
-  if (!campaign::load_campaign_file(file, spec, &error)) {
+  if (!campaign::load_campaign_file(file, spec, &error) ||
+      !campaign::expand_grid(spec, opt.grid, specs, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  // --repeats multiplies the validated grid; the job cap must survive it.
-  if (spec.job_count() * opt.repeats > campaign::kMaxCampaignJobs) {
-    std::fprintf(stderr,
-                 "error: %s: %zu job(s) x %llu repeat(s) exceeds the %zu-job "
-                 "cap\n",
-                 file.c_str(), spec.job_count(),
-                 static_cast<unsigned long long>(opt.repeats),
-                 campaign::kMaxCampaignJobs);
-    return 1;
-  }
-
-  // --- shard worker: run slice i/N, write the shard result file ----------
-  if (shard_total != 0) {
-    const std::vector<scenario::ScenarioSpec> specs =
-        prepare_specs(campaign::expand_campaign(spec), opt);
+  const auto in_out = [&out_dir](const std::string& file_name) {
+    return (std::filesystem::path(out_dir) / file_name).string();
+  };
+  run.threads = opt.jobs;
+  run.collect_metrics = opt.grid.collect_metrics;
+  run.campaign = spec.name;
+  if (sharded) {
+    // Shard runs always checkpoint under --out, so re-running one after a
+    // crash resumes instead of recomputing.
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
-    const auto in_out = [&out_dir](const std::string& file_name) {
-      return (std::filesystem::path(out_dir) / file_name).string();
-    };
-    campaign::ShardRunOptions run;
-    run.shard = shard_index;
-    run.shards = shard_total;
-    run.threads = opt.jobs;
-    run.collect_metrics = opt.metrics;
-    run.campaign = spec.name;
-    run.progress_path = in_out(
-        campaign::progress_file_name(spec.name, shard_index, shard_total));
-    if (!no_checkpoint) {
-      run.checkpoint_path =
-          checkpoint_path.empty()
-              ? in_out(campaign::checkpoint_file_name(spec.name, shard_index,
-                                                      shard_total))
-              : checkpoint_path;
-    }
-    const std::size_t slice =
-        campaign::shard_indices(specs.size(), shard_index, shard_total).size();
-    if (!opt.quiet) {
+    run.progress_path =
+        in_out(campaign::progress_file_name(spec.name, run.shard, run.shards));
+    run.checkpoint_path = in_out(
+        campaign::checkpoint_file_name(spec.name, run.shard, run.shards));
+  }
+  const std::size_t slice =
+      campaign::shard_indices(specs.size(), run.shard, run.shards).size();
+  if (!opt.quiet) {
+    if (sharded) {
       std::printf("campaign %s: shard %zu/%zu — %zu of %zu job(s) on %u "
                   "thread(s)\n",
-                  spec.name.c_str(), shard_index, shard_total, slice,
-                  specs.size(), opt.jobs == 0 ? 0u : opt.jobs);
-      run.on_job_done = strided_progress(slice);
+                  spec.name.c_str(), run.shard, run.shards, slice,
+                  specs.size(), opt.jobs);
+    } else {
+      std::printf("campaign %s: %zu job(s) on %u thread(s)\n",
+                  spec.name.c_str(), specs.size(), opt.jobs);
     }
-    const campaign::ShardRunOutcome outcome = campaign::run_shard(specs, run);
-    if (!outcome.checkpoint_ok) {
-      std::fprintf(stderr, "error: checkpoint write failed (%s)\n",
-                   run.checkpoint_path.c_str());
-    }
-    const std::string shard_path =
-        in_out(campaign::shard_file_name(spec.name, shard_index, shard_total));
-    if (!campaign::write_shard_file(
-            shard_path,
-            campaign::to_shard_file(spec.name, outcome, shard_index,
-                                    shard_total,
-                                    campaign::grid_fingerprint(specs)),
-            &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    std::size_t completed = 0;
-    for (const std::size_t i : outcome.indices) {
-      if (outcome.results[i].soc.completed) ++completed;
-    }
-    std::printf("%s shard %zu/%zu: %zu/%zu completed (%zu resumed from "
-                "checkpoint, %zu executed) -> %s\n",
-                spec.name.c_str(), shard_index, shard_total, completed,
-                outcome.indices.size(), outcome.resumed, outcome.executed,
-                shard_path.c_str());
-    return completed == outcome.indices.size() && outcome.checkpoint_ok ? 0
-                                                                        : 1;
+    run.on_job_done = strided_progress(slice);
+  }
+  const campaign::ShardRunOutcome outcome = campaign::run_shard(specs, run);
+  if (!sharded) {
+    return emit_campaign_outputs(spec.name, outcome.results, opt, out_dir,
+                                 cells_csv_path);
   }
 
-  // --- plain single-process run ------------------------------------------
-  std::vector<scenario::JobResult> results;
-  if (!checkpoint_path.empty() && !no_checkpoint) {
-    // Checkpointed single-process run = shard 0 of 1.
-    const std::vector<scenario::ScenarioSpec> specs =
-        prepare_specs(campaign::expand_campaign(spec), opt);
-    campaign::ShardRunOptions run;
-    run.shard = 0;
-    run.shards = 1;
-    run.threads = opt.jobs;
-    run.checkpoint_path = checkpoint_path;
-    run.collect_metrics = opt.metrics;
-    if (!opt.quiet) {
-      std::printf("campaign %s: %zu job(s) on %u thread(s)\n",
-                  spec.name.c_str(), specs.size(),
-                  opt.jobs == 0 ? 0u : opt.jobs);
-      run.on_job_done = strided_progress(specs.size());
-    }
-    campaign::ShardRunOutcome outcome = campaign::run_shard(specs, run);
-    if (!outcome.checkpoint_ok) {
-      std::fprintf(stderr, "error: checkpoint write failed (%s)\n",
-                   checkpoint_path.c_str());
-      return 1;
-    }
-    if (!opt.quiet && outcome.resumed > 0) {
-      std::printf("  resumed %zu job(s) from %s\n", outcome.resumed,
-                  checkpoint_path.c_str());
-    }
-    results = std::move(outcome.results);
-  } else {
-    results = execute_specs("campaign", spec.name,
-                            campaign::expand_campaign(spec), opt, false);
+  if (!outcome.checkpoint_ok) {
+    std::fprintf(stderr, "error: checkpoint write failed (%s)\n",
+                 run.checkpoint_path.c_str());
   }
-  return emit_campaign_outputs(spec.name, results, opt, out_dir,
-                               cells_csv_path);
+  const std::string shard_path =
+      in_out(campaign::shard_file_name(spec.name, run.shard, run.shards));
+  if (!campaign::write_shard_file(
+          shard_path,
+          campaign::to_shard_file(spec.name, outcome, run.shard, run.shards,
+                                  campaign::grid_fingerprint(specs)),
+          &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  }
+  std::size_t completed = 0;
+  for (const std::size_t i : outcome.indices) {
+    if (outcome.results[i].soc.completed) ++completed;
+  }
+  std::printf("%s shard %zu/%zu: %zu/%zu completed (%zu resumed from "
+              "checkpoint, %zu executed) -> %s\n",
+              spec.name.c_str(), run.shard, run.shards, completed,
+              outcome.indices.size(), outcome.resumed, outcome.executed,
+              shard_path.c_str());
+  return completed == outcome.indices.size() && outcome.checkpoint_ok ? 0 : 1;
 }
 
 int cmd_campaign_merge(int argc, char** argv) {
@@ -838,6 +772,12 @@ int cmd_campaign_merge(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // The shard files already fix the grid and its results.
+    if (refused_option(arg, "campaign merge",
+                       {"--jobs", "--repeats", "--max-cycles", "--metrics",
+                        "--trace"})) {
+      return 1;
+    }
     if (parse_batch_option(argc, argv, i, opt)) continue;
     if (arg == "--out") {
       out_dir = next();
@@ -954,6 +894,8 @@ int cmd_campaign_serve(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Workers pick their own thread counts.
+    if (refused_option(arg, "campaign serve", {"--jobs", "--trace"})) return 1;
     if (parse_batch_option(argc, argv, i, opt)) continue;
     std::uint64_t u = 0;
     if (arg == "--port" && parse_u64(next(), u) && u <= 65535) {
@@ -974,23 +916,11 @@ int cmd_campaign_serve(int argc, char** argv) {
     } else if (arg == "--http-port" && parse_u64(next(), u) && u <= 65535) {
       http = true;
       http_port = static_cast<std::uint16_t>(u);
-    } else if (arg == "--no-audit") {
-      serve_opt.audit = false;
     } else if (arg == "--resume") {
       serve_opt.resume = true;
     } else {
       usage(argv[0]);
     }
-  }
-  if (serve_opt.resume && !serve_opt.audit) {
-    std::fprintf(stderr, "error: --resume replays the fleet log "
-                         "(drop --no-audit)\n");
-    return 1;
-  }
-  if (!opt.trace_path.empty()) {
-    std::fprintf(stderr,
-                 "error: --trace applies to `run`/`sweep`, not campaigns\n");
-    return 1;
   }
 
   campaign::CampaignSpec spec;
@@ -999,20 +929,9 @@ int cmd_campaign_serve(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  if (spec.job_count() * opt.repeats > campaign::kMaxCampaignJobs) {
-    std::fprintf(stderr,
-                 "error: %s: %zu job(s) x %llu repeat(s) exceeds the %zu-job "
-                 "cap\n",
-                 file.c_str(), spec.job_count(),
-                 static_cast<unsigned long long>(opt.repeats),
-                 campaign::kMaxCampaignJobs);
-    return 1;
-  }
 
   serve_opt.quiet = opt.quiet;
-  serve_opt.grid.repeats = opt.repeats;
-  serve_opt.grid.max_cycles = opt.max_cycles;
-  serve_opt.grid.collect_metrics = opt.metrics;
+  serve_opt.grid = opt.grid;
   // Server-side chaos (kill_server_after, for the restart-recovery CI
   // leg) rides the same SECBUS_CHAOS variable the workers use.
   if (!campaign::ChaosOptions::from_env(serve_opt.chaos, &error)) {
@@ -1095,9 +1014,7 @@ int cmd_campaign_serve(int argc, char** argv) {
     return 1;
   }
   http_server.close();
-  if (!server.audit_path().empty()) {
-    std::printf("fleet: lease audit log at %s\n", server.audit_path().c_str());
-  }
+  std::printf("fleet: lease audit log at %s\n", server.audit_path().c_str());
   if (server.reassignments() != 0) {
     std::fprintf(stderr, "fleet: %zu lease reassignment(s) during this run\n",
                  server.reassignments());
@@ -1132,8 +1049,6 @@ int cmd_campaign_worker(int argc, char** argv) {
       worker_opt.max_reconnects = static_cast<std::size_t>(u);
     } else if (arg == "--backoff" && parse_u64(next(), u) && u >= 1) {
       worker_opt.backoff_ms = u;
-    } else if (arg == "--no-checkpoint") {
-      worker_opt.checkpoint = false;
     } else if (arg == "--quiet") {
       worker_opt.quiet = true;
     } else {
