@@ -1,8 +1,8 @@
 #include "campaign/fleet.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
@@ -1037,9 +1037,13 @@ util::Json FleetServer::status_json() const {
 namespace {
 
 // Shared between the worker's main thread (run_shard completion callback)
-// and its heartbeat thread.
+// and its heartbeat thread. `stop` is set under `mutex` once the shard
+// finishes, and `wake` cuts the beat thread's wait short, so the result
+// goes out as soon as run_shard returns rather than at the next beat.
 struct HeartbeatShared {
   std::mutex mutex;
+  std::condition_variable wake;
+  bool stop = false;
   ProgressSampler sampler;
   std::size_t done = 0;
   std::size_t total = 0;
@@ -1248,23 +1252,15 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
       shared->total = total;
     };
 
-    std::atomic<bool> stop{false};
     net::Transport* beat_wire = wire;
-    const std::uint64_t beat_every = heartbeat_ms;
-    std::thread beat([&stop, shared, beat_wire, grant, beat_every] {
-      std::uint64_t slept = 0;
-      for (;;) {
-        sleep_ms(50);
-        if (stop.load(std::memory_order_relaxed)) return;
-        slept += 50;
-        if (slept < beat_every) continue;
-        slept = 0;
-        ProgressRecord record;
-        {
-          std::lock_guard<std::mutex> lock(shared->mutex);
-          record = shared->sampler.sample(shared->done, shared->total,
-                                          /*finished=*/false);
-        }
+    const auto beat_every = std::chrono::milliseconds(heartbeat_ms);
+    std::thread beat([shared, beat_wire, grant, beat_every] {
+      std::unique_lock<std::mutex> lock(shared->mutex);
+      while (!shared->wake.wait_for(lock, beat_every,
+                                    [&] { return shared->stop; })) {
+        const ProgressRecord record = shared->sampler.sample(
+            shared->done, shared->total, /*finished=*/false);
+        lock.unlock();
         // Piggyback the process metrics snapshot (throughput, FormatCache,
         // crypto backend, wire counters) on the liveness beat.
         const obs::Registry snapshot = worker_metrics_snapshot(record);
@@ -1273,10 +1269,15 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
         beat_wire->send(net::kServerConn,
                         fleet_msg::heartbeat(grant.shard, grant.generation,
                                              record, &snapshot, grant.epoch));
+        lock.lock();
       }
     });
     const ShardRunOutcome outcome = run_shard(specs, run);
-    stop.store(true, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(shared->mutex);
+      shared->stop = true;
+    }
+    shared->wake.notify_one();
     beat.join();
     if (!outcome.checkpoint_ok) {
       std::fprintf(stderr,

@@ -1,6 +1,5 @@
 #include "crypto/sha256.hpp"
 
-#include <atomic>
 #include <cstring>
 
 #include "util/bitops.hpp"
@@ -27,11 +26,6 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-// Instrumentation counter shared by every Sha256 instance; parallel
-// shard runners hash concurrently, so it must be atomic (relaxed is
-// enough -- it is a statistic, not a synchronization point).
-std::atomic<std::uint64_t> g_compression_count{0};
-
 }  // namespace
 
 void Sha256::reset() noexcept {
@@ -44,7 +38,6 @@ void Sha256::reset() noexcept {
 void Sha256::compress_blocks(const std::uint8_t* blocks,
                              std::size_t nblocks) noexcept {
   if (nblocks == 0) return;
-  g_compression_count.fetch_add(nblocks, std::memory_order_relaxed);
   if (impl_ == ShaImpl::kShaNi) {
     accel::sha256_compress(state_.data(), blocks, nblocks);
     return;
@@ -54,7 +47,7 @@ void Sha256::compress_blocks(const std::uint8_t* blocks,
   }
 }
 
-// Scalar FIPS 180-4 rounds; counting happens in compress_blocks.
+// Scalar FIPS 180-4 rounds.
 void Sha256::process_block(const std::uint8_t block[kSha256BlockBytes]) noexcept {
   std::uint32_t w[64];
   for (int t = 0; t < 16; ++t) w[t] = load_be32(block + 4 * t);
@@ -198,14 +191,6 @@ Sha256Digest Sha256::digest_parts(
   ctx.set_impl(impl);
   for (const auto& p : parts) ctx.update(p);
   return ctx.finalize();
-}
-
-std::uint64_t Sha256::compression_count() noexcept {
-  return g_compression_count.load(std::memory_order_relaxed);
-}
-
-void Sha256::reset_compression_count() noexcept {
-  g_compression_count.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace secbus::crypto

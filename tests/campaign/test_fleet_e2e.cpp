@@ -1,5 +1,6 @@
-// Fleet end-to-end over real sockets: a TCP server plus three forked
-// worker processes on loopback, one of which chaos-kills itself mid-shard.
+// Fleet end-to-end over real sockets: a TCP server plus three
+// `secbus_cli campaign worker` processes on loopback, one of which
+// chaos-kills itself mid-shard.
 // The acceptance bar from the fleet design: the served campaign's merged
 // artifacts must be byte-identical to a direct single-process run, killed
 // and reassigned workers included — now with the observability plane on
@@ -10,12 +11,17 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -93,23 +99,91 @@ std::string metrics_doc(const std::string& name,
   return doc.dump();
 }
 
-// The workers are fork()ed from a gtest process that already runs the
-// server thread; ThreadSanitizer refuses to start new threads in a child
-// forked from a multi-threaded parent, so under TSan this test cannot run
-// at all. The same scenario is covered race-wise by campaign_test_fleet
-// (FakeTransport, in-process) and functionally by the CI chaos e2e job.
-#if defined(__SANITIZE_THREAD__)
-#define SECBUS_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SECBUS_TSAN 1
-#endif
-#endif
+using Clock = std::chrono::steady_clock;
+
+// Starts `secbus_cli campaign worker` with posix_spawn, i.e. fork+exec with
+// nothing run in between: the child never executes this test's code, so it
+// cannot inherit a lock (malloc, sanitizer runtime, metrics registry) that
+// another thread of the test held at the fork. The chaos worker gets
+// SECBUS_CHAOS; every other worker runs with it unset. Returns -1 on
+// failure.
+pid_t spawn_worker(std::uint16_t port, int w, const std::string& out_dir,
+                   const char* chaos) {
+  std::vector<std::string> args = {SECBUS_CLI,
+                                   "campaign",
+                                   "worker",
+                                   "127.0.0.1:" + std::to_string(port),
+                                   "--out",
+                                   out_dir,
+                                   "--id",
+                                   "e2e-w" + std::to_string(w),
+                                   "--jobs",
+                                   "2",
+                                   "--backoff",
+                                   "100"};
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::strncmp(*e, "SECBUS_CHAOS=", 13) != 0) env.emplace_back(*e);
+  }
+  if (chaos != nullptr) env.push_back(std::string("SECBUS_CHAOS=") + chaos);
+  const auto c_strings = [](std::vector<std::string>& strings) {
+    std::vector<char*> out;
+    for (std::string& s : strings) out.push_back(s.data());
+    out.push_back(nullptr);
+    return out;
+  };
+  std::vector<char*> argv = c_strings(args);
+  std::vector<char*> envp = c_strings(env);
+
+  // The worker's summary line would interleave with gtest's output; its
+  // stderr (errors) stays attached.
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, "/dev/null",
+                                   O_WRONLY, 0);
+  pid_t pid = -1;
+  const int rc = ::posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(),
+                               envp.data());
+  posix_spawn_file_actions_destroy(&actions);
+  return rc == 0 ? pid : -1;
+}
+
+// Reaps `pid` by polling until `deadline`. A worker still running then is
+// killed and reaped, and the wait fails: a hung worker fails the test
+// instead of stalling it.
+::testing::AssertionResult reap_by(pid_t pid, Clock::time_point deadline,
+                                   int& status) {
+  for (;;) {
+    const pid_t r = ::waitpid(pid, &status, WNOHANG);
+    if (r == pid) return ::testing::AssertionSuccess();
+    if (r == -1) {
+      return ::testing::AssertionFailure()
+             << "waitpid(" << pid << "): " << std::strerror(errno);
+    }
+    if (Clock::now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      (void)::waitpid(pid, &status, 0);
+      return ::testing::AssertionFailure()
+             << "worker " << pid << " still running at its deadline; killed";
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+// Kills and reaps every worker still listed (the test sets a reaped
+// worker's pid to -1), so a test that fails early leaves no process behind.
+struct ReapOnExit {
+  std::vector<pid_t>& pids;
+  ~ReapOnExit() {
+    for (const pid_t pid : pids) {
+      if (pid <= 0) continue;
+      ::kill(pid, SIGKILL);
+      (void)::waitpid(pid, nullptr, 0);
+    }
+  }
+};
 
 TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
-#ifdef SECBUS_TSAN
-  GTEST_SKIP() << "fork()ed multi-threaded workers are unsupported under TSan";
-#endif
   CampaignSpec spec;
   std::string error;
   ASSERT_TRUE(
@@ -156,6 +230,18 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
     http.poll(0, handler, &http_error);
   };
 
+  // Three workers; the second one dies after checkpointing two jobs of its
+  // first shard. All share the server's out_dir, so the reassigned shard
+  // resumes from the dead worker's checkpoint.
+  std::vector<pid_t> workers;
+  ReapOnExit reap_on_exit{workers};
+  for (int w = 0; w < 3; ++w) {
+    const pid_t pid =
+        spawn_worker(port, w, dir.path(), w == 1 ? "kill_after:2" : nullptr);
+    ASSERT_NE(pid, -1) << "cannot spawn " << SECBUS_CLI;
+    workers.push_back(pid);
+  }
+
   // A scraper races the fleet from another thread, like a Prometheus
   // poller would; it retries until it lands one good /metrics + /status
   // pair (usually mid-run, but a fast fleet may finish first — the main
@@ -164,9 +250,8 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
   std::string scraped_metrics;
   std::string scraped_status;
   std::thread scraper([&] {
-    const auto scrape_deadline =
-        std::chrono::steady_clock::now() + std::chrono::minutes(2);
-    while (std::chrono::steady_clock::now() < scrape_deadline) {
+    const auto scrape_deadline = Clock::now() + std::chrono::minutes(2);
+    while (Clock::now() < scrape_deadline) {
       int status = 0;
       std::string metrics_body, status_body, get_error;
       if (net::http_get("127.0.0.1", http.bound_port(), "/metrics", &status,
@@ -184,42 +269,10 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
     }
   });
 
-  // Three workers; the second one dies after checkpointing two jobs of its
-  // first shard. All share the server's out_dir, so the reassigned shard
-  // resumes from the dead worker's checkpoint.
-  std::vector<pid_t> workers;
-  for (int w = 0; w < 3; ++w) {
-    const pid_t pid = ::fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-      FleetWorkerOptions worker_opt;
-      worker_opt.host = "127.0.0.1";
-      worker_opt.port = port;
-      worker_opt.out_dir = dir.path();
-      worker_opt.threads = 2;
-      worker_opt.worker_id = "e2e-w" + std::to_string(w);
-      worker_opt.backoff_ms = 100;
-      worker_opt.quiet = true;
-      if (w == 1) {
-        worker_opt.chaos.kind = ChaosOptions::Kind::kKillAfter;
-        worker_opt.chaos.kill_after = 2;
-      }
-      std::string worker_error;
-      const bool ok = run_fleet_worker(worker_opt, nullptr, &worker_error);
-      if (!ok) {
-        std::fprintf(stderr, "worker %d: %s\n", w, worker_error.c_str());
-      }
-      ::_exit(ok ? 0 : 1);
-    }
-    workers.push_back(pid);
-  }
-
   // Drive the server to completion (bounded: a wedged fleet must fail the
   // test, not hang it).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::minutes(3);
-  while (!server.finished() &&
-         std::chrono::steady_clock::now() < deadline) {
+  const auto deadline = Clock::now() + std::chrono::minutes(3);
+  while (!server.finished() && Clock::now() < deadline) {
     ASSERT_TRUE(server.step(200, &error)) << error;
     service_http();
   }
@@ -232,22 +285,25 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
     if (!transport.poll(50, events, &drain_error)) break;
     service_http();
   }
-  while (!scraped.load() && std::chrono::steady_clock::now() < deadline) {
+  while (!scraped.load() && Clock::now() < deadline) {
     service_http();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   scraper.join();
   http.close();
 
+  // The fleet is done, so every worker has exited or is about to.
+  const auto reap_deadline = Clock::now() + std::chrono::seconds(30);
   int chaos_status = 0;
-  ASSERT_EQ(::waitpid(workers[1], &chaos_status, 0), workers[1]);
+  ASSERT_TRUE(reap_by(workers[1], reap_deadline, chaos_status));
+  workers[1] = -1;
   ASSERT_TRUE(WIFEXITED(chaos_status));
   EXPECT_EQ(WEXITSTATUS(chaos_status), kChaosExitCode)
       << "the chaos worker should have died by _Exit(kChaosExitCode)";
-  for (const int w : {0, 2}) {
+  for (const std::size_t w : {0u, 2u}) {
     int status = 0;
-    ASSERT_EQ(::waitpid(workers[static_cast<std::size_t>(w)], &status, 0),
-              workers[static_cast<std::size_t>(w)]);
+    ASSERT_TRUE(reap_by(workers[w], reap_deadline, status)) << "worker " << w;
+    workers[w] = -1;
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0) << "worker " << w;
   }

@@ -85,14 +85,6 @@ TEST(Sha256, DifferentMessagesDifferentDigests) {
   EXPECT_NE(digest_hex(""), digest_hex(std::string_view("\0", 1)));
 }
 
-TEST(Sha256, CompressionCounterAdvances) {
-  Sha256::reset_compression_count();
-  (void)Sha256::digest("abc");  // 1 block (with padding)
-  EXPECT_EQ(Sha256::compression_count(), 1u);
-  (void)Sha256::digest(std::string(64, 'y'));  // 1 data block + 1 pad block
-  EXPECT_EQ(Sha256::compression_count(), 3u);
-}
-
 // FIPS 180-4 vectors on every compression datapath this host can run —
 // the SHA-NI path's ground truth is the standard vectors, not the portable
 // implementation.
