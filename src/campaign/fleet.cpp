@@ -11,6 +11,7 @@
 
 #include "crypto/backend.hpp"
 #include "net/netstats.hpp"
+#include "util/fileio.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -290,6 +291,7 @@ FleetServer::FleetServer(net::Transport& transport,
   if (options_.shards == 0) options_.shards = 1;
   leases_.reset(options_.shards, options_.lease_timeout_ms);
   shard_paths_.assign(options_.shards, std::string());
+  shard_results_.assign(options_.shards, ShardResultFile{});
   start_ms_ = transport_.now_ms();
   // A constructor cannot return false, so failures park in init_error_ and
   // the first step() reports them.
@@ -351,6 +353,7 @@ void FleetServer::open_fleet_log() {
             file.shards == options_.shards && file.grid_fp == grid_fp_) {
           leases_.mark_done(shard, commit.generation);
           shard_paths_[shard] = commit.file;
+          shard_results_[shard] = std::move(file);
           ++resumed_shards_;
         } else {
           std::fprintf(stderr,
@@ -788,7 +791,7 @@ void FleetServer::handle_shard_done(net::ConnId conn, const Json& message,
     const std::uint64_t now = transport_.now_ms();
     info.last_seen_ms = now > start_ms_ ? now - start_ms_ : 0;
   }
-  if (!accept_result(peer.worker, std::move(file),
+  if (!accept_result(peer.worker, *file_json, std::move(file),
                      have_progress ? final_progress : ProgressRecord{},
                      error)) {
     return;  // fatal: error set (disk full etc.)
@@ -811,16 +814,20 @@ void FleetServer::handle_shard_done(net::ConnId conn, const Json& message,
 }
 
 bool FleetServer::accept_result(const std::string& worker,
-                                ShardResultFile file,
+                                const Json& file_json, ShardResultFile file,
                                 const ProgressRecord& final_progress,
                                 std::string* error) {
   const std::size_t shard = file.shard;
+  const std::size_t result_count = file.results.size();
   const std::string path =
       (std::filesystem::path(options_.out_dir) /
        shard_file_name(campaign_name_, shard, options_.shards))
           .string();
-  if (!write_shard_file(path, file, error)) return false;
+  // The payload is the worker's shard_file_to_json, so dumping the vetted
+  // document writes what write_shard_file would, without rebuilding it.
+  if (!util::write_file(path, file_json.dump(), error)) return false;
   shard_paths_[shard] = path;
+  shard_results_[shard] = std::move(file);
   if (ProgressWriter* writer = progress_writer(shard)) {
     ProgressRecord record = final_progress;
     record.campaign = campaign_name_;
@@ -831,7 +838,7 @@ bool FleetServer::accept_result(const std::string& worker,
   }
   progress_.erase(shard);  // closes (flushes) the sidecar
   log_event("fleet: shard %zu completed by worker %s (%zu result(s)) -> %s",
-            shard, worker.c_str(), file.results.size(), path.c_str());
+            shard, worker.c_str(), result_count, path.c_str());
   return true;
 }
 
@@ -885,7 +892,8 @@ ProgressWriter* FleetServer::progress_writer(std::size_t shard) {
 
 bool FleetServer::finalize(std::string* error) {
   std::string merged_name;
-  if (!merge_shard_files(shard_paths_, &merged_name, &results_, error)) {
+  if (!merge_shard_results(std::move(shard_results_), shard_paths_,
+                           &merged_name, &results_, error)) {
     return false;
   }
   finished_ = true;
@@ -1087,6 +1095,7 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
   std::string campaign_name;
   GridOptions grid;
   std::vector<scenario::ScenarioSpec> specs;
+  std::vector<std::uint64_t> spec_fps;  // spec_fingerprints(specs)
   std::uint64_t grid_fp = 0;
   std::size_t shards = 0;
   std::uint64_t heartbeat_ms = 2'000;
@@ -1128,7 +1137,8 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
       fatal = true;
       return false;
     }
-    const std::uint64_t local_fp = grid_fingerprint(expanded);
+    std::vector<std::uint64_t> fps = spec_fingerprints(expanded);
+    const std::uint64_t local_fp = grid_fingerprint(fps);
     if (local_fp != announced_fp) {
       fatal = true;
       return fail(err, "expanded grid fingerprint " + fp_hex(local_fp) +
@@ -1140,6 +1150,7 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
     campaign_name = spec.name;
     grid = g;
     specs = std::move(expanded);
+    spec_fps = std::move(fps);
     grid_fp = local_fp;
     shards = static_cast<std::size_t>(shards_u);
     heartbeat_ms = std::max<std::uint64_t>(hb, 100);
@@ -1237,6 +1248,7 @@ bool run_fleet_worker(const FleetWorkerOptions& options,
         (std::filesystem::path(options.out_dir) /
          checkpoint_file_name(campaign_name, grant.shard, shards))
             .string();
+    run.spec_fps = spec_fps;
 
     auto shared = std::make_shared<HeartbeatShared>();
     shared->sampler.begin(campaign_name, grant.shard, shards);

@@ -353,8 +353,9 @@ class FleetServer {
   void drop_peer(net::ConnId conn, const std::string& reason);
   void grant_to_waiting();
   void refuse(net::ConnId conn, std::size_t shard, const std::string& reason);
-  bool accept_result(const std::string& worker, ShardResultFile file,
-                     const ProgressRecord& final_progress, std::string* error);
+  bool accept_result(const std::string& worker, const util::Json& file_json,
+                     ShardResultFile file, const ProgressRecord& final_progress,
+                     std::string* error);
   bool finalize(std::string* error);
   ProgressWriter* progress_writer(std::size_t shard);
   void log_event(const char* fmt, ...);
@@ -377,6 +378,9 @@ class FleetServer {
   std::map<std::string, net::ConnId> worker_conns_;
   std::map<std::size_t, std::unique_ptr<ProgressWriter>> progress_;
   std::vector<std::string> shard_paths_;  // filled per accepted shard
+  // The parsed, vetted file behind each shard_paths_ entry (accepted this
+  // run, or read back on resume); finalize merges these, not the disk.
+  std::vector<ShardResultFile> shard_results_;
   std::vector<scenario::JobResult> results_;
   bool finished_ = false;
   // Crash-safety plane: the fleet log.
@@ -410,7 +414,7 @@ struct FleetWorkerOptions {
   std::size_t max_reconnects = 5;
   std::uint64_t backoff_ms = 500;
   std::uint64_t backoff_max_ms = 5'000;
-  bool quiet = true;
+  bool quiet = false;  // true silences the per-event stderr lines
   // Fault injection (campaign/chaos.hpp): `kill_after:<n>` _Exit()s the
   // worker mid-shard after n checkpointed jobs; `net:...` wraps the
   // worker's TCP connection in a seeded net::ChaosTransport (drops,

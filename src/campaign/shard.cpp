@@ -1,6 +1,5 @@
 #include "campaign/shard.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "campaign/campaign.hpp"
@@ -40,16 +39,29 @@ std::uint64_t spec_fingerprint(const scenario::ScenarioSpec& spec) {
   return util::fnv1a_64(util::kFnv1aOffset, canonical.data(), canonical.size());
 }
 
-std::uint64_t grid_fingerprint(
+std::vector<std::uint64_t> spec_fingerprints(
     const std::vector<scenario::ScenarioSpec>& specs) {
-  std::uint64_t h = util::kFnv1aOffset;
-  const std::uint64_t count = specs.size();
-  h = util::fnv1a_64(h, &count, sizeof count);
+  std::vector<std::uint64_t> fps;
+  fps.reserve(specs.size());
   for (const scenario::ScenarioSpec& spec : specs) {
-    const std::uint64_t fp = spec_fingerprint(spec);
+    fps.push_back(spec_fingerprint(spec));
+  }
+  return fps;
+}
+
+std::uint64_t grid_fingerprint(std::span<const std::uint64_t> spec_fps) {
+  std::uint64_t h = util::kFnv1aOffset;
+  const std::uint64_t count = spec_fps.size();
+  h = util::fnv1a_64(h, &count, sizeof count);
+  for (const std::uint64_t fp : spec_fps) {
     h = util::fnv1a_64(h, &fp, sizeof fp);
   }
   return h;
+}
+
+std::uint64_t grid_fingerprint(
+    const std::vector<scenario::ScenarioSpec>& specs) {
+  return grid_fingerprint(spec_fingerprints(specs));
 }
 
 // --- shard result files -----------------------------------------------------
@@ -178,6 +190,17 @@ bool merge_shard_files(const std::vector<std::string>& paths,
     if (!read_shard_file(path, file, error)) return false;
     files.push_back(std::move(file));
   }
+  return merge_shard_results(std::move(files), paths, campaign_name, results,
+                             error);
+}
+
+bool merge_shard_results(std::vector<ShardResultFile> files,
+                         const std::vector<std::string>& labels,
+                         std::string* campaign_name,
+                         std::vector<scenario::JobResult>* results,
+                         std::string* error) {
+  SECBUS_ASSERT(labels.size() == files.size(), "one label per shard file");
+  if (files.empty()) return fail(error, "no shard files to merge");
 
   const ShardResultFile& first = files.front();
   std::vector<char> shard_seen(first.shards, 0);
@@ -186,12 +209,12 @@ bool merge_shard_files(const std::vector<std::string>& paths,
     if (file.campaign != first.campaign || file.shards != first.shards ||
         file.jobs_total != first.jobs_total ||
         file.grid_fp != first.grid_fp) {
-      return fail(error, paths[f] +
-                             ": shard file disagrees with " + paths[0] +
+      return fail(error, labels[f] +
+                             ": shard file disagrees with " + labels[0] +
                              " (campaign/shards/jobs/grid fingerprint)");
     }
     if (shard_seen[file.shard]) {
-      return fail(error, paths[f] + ": duplicate shard " +
+      return fail(error, labels[f] + ": duplicate shard " +
                              std::to_string(file.shard));
     }
     shard_seen[file.shard] = 1;
@@ -208,16 +231,16 @@ bool merge_shard_files(const std::vector<std::string>& paths,
     ShardResultFile& file = files[f];
     for (scenario::JobResult& r : file.results) {
       if (r.index >= first.jobs_total) {
-        return fail(error, paths[f] + ": job index " +
+        return fail(error, labels[f] + ": job index " +
                                std::to_string(r.index) + " out of range");
       }
       if (shard_of(r.index, first.shards) != file.shard) {
-        return fail(error, paths[f] + ": job " + std::to_string(r.index) +
+        return fail(error, labels[f] + ": job " + std::to_string(r.index) +
                                " does not belong to shard " +
                                std::to_string(file.shard));
       }
       if (filled[r.index]) {
-        return fail(error, paths[f] + ": job " + std::to_string(r.index) +
+        return fail(error, labels[f] + ": job " + std::to_string(r.index) +
                                " appears twice");
       }
       filled[r.index] = 1;
@@ -264,17 +287,15 @@ void CheckpointWriter::close() {
 }
 
 std::size_t load_checkpoint(const std::string& path,
-                            const std::vector<scenario::ScenarioSpec>& specs,
+                            std::span<const std::uint64_t> spec_fps,
                             std::vector<scenario::JobResult>& results,
                             std::vector<char>& done) {
-  SECBUS_ASSERT(results.size() == specs.size() && done.size() == specs.size(),
-                "checkpoint buffers must match the job list");
+  SECBUS_ASSERT(
+      results.size() == spec_fps.size() && done.size() == spec_fps.size(),
+      "checkpoint buffers must match the job list");
   std::vector<Json> records;
   if (!util::read_jsonl(path, records)) return 0;  // no checkpoint yet
 
-  // Fingerprints computed lazily: a checkpoint references only its own
-  // shard's indices, no need to hash the whole grid.
-  std::vector<std::optional<std::uint64_t>> fingerprints(specs.size());
   std::size_t restored = 0;
   for (const Json& record : records) {
     if (!record.is_object()) continue;
@@ -287,11 +308,8 @@ std::size_t load_checkpoint(const std::string& path,
         !fp_v->to_u64(fp) || result_v == nullptr) {
       continue;  // torn or foreign record
     }
-    if (index >= specs.size() || done[index]) continue;
-    if (!fingerprints[index].has_value()) {
-      fingerprints[index] = spec_fingerprint(specs[index]);
-    }
-    if (*fingerprints[index] != fp) continue;  // grid drifted: re-run it
+    if (index >= spec_fps.size() || done[index]) continue;
+    if (spec_fps[index] != fp) continue;  // grid drifted: re-run it
     scenario::JobResult r;
     if (!scenario::job_result_from_json(*result_v, r, nullptr)) continue;
     if (r.index != index) continue;
@@ -314,8 +332,11 @@ ShardRunOutcome run_shard(const std::vector<scenario::ScenarioSpec>& specs,
   std::vector<char> done(specs.size(), 0);
   CheckpointWriter checkpoint;
   const bool checkpointing = !options.checkpoint_path.empty();
+  const std::span<const std::uint64_t> spec_fps = options.spec_fps;
   if (checkpointing) {
-    (void)load_checkpoint(options.checkpoint_path, specs, outcome.results,
+    SECBUS_ASSERT(spec_fps.size() == specs.size(),
+                  "checkpointing needs one spec fingerprint per job");
+    (void)load_checkpoint(options.checkpoint_path, spec_fps, outcome.results,
                           done);
     outcome.checkpoint_ok = checkpoint.open(options.checkpoint_path);
   }
@@ -351,7 +372,7 @@ ShardRunOutcome run_shard(const std::vector<scenario::ScenarioSpec>& specs,
     batch.on_job_done = [&](const scenario::JobResult& r, std::size_t n,
                             std::size_t /*of*/) {
       if (checkpointing) {
-        checkpoint.append(r, spec_fingerprint(specs[r.index]));
+        checkpoint.append(r, spec_fps[r.index]);
       }
       if (telemetry) progress.update(resumed + n, total);
       if (options.on_job_done) options.on_job_done(r, resumed + n, total);

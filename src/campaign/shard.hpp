@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,16 @@ namespace secbus::campaign {
 [[nodiscard]] std::uint64_t spec_fingerprint(
     const scenario::ScenarioSpec& spec);
 
-// Fingerprint of a whole expanded job list (order-sensitive).
+// spec_fingerprint of every spec, in order. The fingerprints of a grid
+// never change, so a participant computes them once per campaign and hands
+// them to grid_fingerprint and run_shard.
+[[nodiscard]] std::vector<std::uint64_t> spec_fingerprints(
+    const std::vector<scenario::ScenarioSpec>& specs);
+
+// Fingerprint of a whole expanded job list (order-sensitive): FNV-1a64 over
+// the job count and then every spec fingerprint.
+[[nodiscard]] std::uint64_t grid_fingerprint(
+    std::span<const std::uint64_t> spec_fps);
 [[nodiscard]] std::uint64_t grid_fingerprint(
     const std::vector<scenario::ScenarioSpec>& specs);
 
@@ -99,10 +109,18 @@ bool write_shard_file(const std::string& path, const ShardResultFile& file,
 bool read_shard_file(const std::string& path, ShardResultFile& out,
                      std::string* error);
 
-// Reads every shard file and reassembles the full submission-order result
-// vector. Validates that the files describe the same campaign (name, shard
-// count, job count, grid fingerprint), that every result sits in its
-// owner's slice, and that the union covers every job exactly once.
+// Reassembles the full submission-order result vector from shard files
+// already in memory. Validates that the files describe the same campaign
+// (name, shard count, job count, grid fingerprint), that every result sits
+// in its owner's slice, and that the union covers every job exactly once.
+// `labels[f]` names files[f] in error messages (its path).
+bool merge_shard_results(std::vector<ShardResultFile> files,
+                         const std::vector<std::string>& labels,
+                         std::string* campaign_name,
+                         std::vector<scenario::JobResult>* results,
+                         std::string* error);
+
+// read_shard_file for every path, then merge_shard_results.
 bool merge_shard_files(const std::vector<std::string>& paths,
                        std::string* campaign_name,
                        std::vector<scenario::JobResult>* results,
@@ -125,13 +143,14 @@ class CheckpointWriter {
   util::JsonlWriter writer_;
 };
 
-// Replays a checkpoint into `results`/`done` (both sized specs.size()).
-// A record is restored only when its index is in range, not already done,
-// and its fingerprint matches the current spec at that index — anything
-// else (stale grid, foreign shard, torn tail) is skipped. Returns the
-// number of restored jobs; a missing file restores zero.
+// Replays a checkpoint into `results`/`done` (both sized like `spec_fps`,
+// the spec_fingerprints of the current grid). A record is restored only
+// when its index is in range, not already done, and its fingerprint
+// matches the current spec at that index — anything else (stale grid,
+// foreign shard, torn tail) is skipped. Returns the number of restored
+// jobs; a missing file restores zero.
 std::size_t load_checkpoint(const std::string& path,
-                            const std::vector<scenario::ScenarioSpec>& specs,
+                            std::span<const std::uint64_t> spec_fps,
                             std::vector<scenario::JobResult>& results,
                             std::vector<char>& done);
 
@@ -144,6 +163,9 @@ struct ShardRunOptions {
   // Non-empty enables checkpointing: resume from the file, then append
   // every newly-completed job to it.
   std::string checkpoint_path;
+  // spec_fingerprints(specs), which checkpoint records carry and resume
+  // checks; required with checkpoint_path. Must outlive run_shard.
+  std::span<const std::uint64_t> spec_fps;
   // Non-empty enables progress telemetry: periodic ProgressRecords append
   // to this sidecar (see campaign/telemetry.hpp). `campaign` labels the
   // records; `progress_interval_ms` throttles them.

@@ -1,8 +1,10 @@
 #include "util/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 namespace secbus::util {
 
@@ -130,11 +132,19 @@ const Json* Json::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
-std::string Json::quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+// RFC-8259 escaping of `s`, quotes included, appended to `out`. Runs of
+// bytes that need no escape are copied with one append each.
+void append_quoted(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (const char c : s) {
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -143,41 +153,55 @@ std::string Json::quote(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
-  return out;
 }
 
-namespace {
-
+// Shortest of "%.15g" and "%.17g" that round-trips, as std::to_chars
+// (specified to print exactly what printf does for the same format and
+// precision) without printf's format parsing and locale.
 void append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {  // JSON has no Inf/NaN; emit null like most writers
     out += "null";
     return;
   }
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Prefer the shortest representation that round-trips.
-  char shorter[32];
-  std::snprintf(shorter, sizeof shorter, "%.15g", v);
-  if (std::strtod(shorter, nullptr) == v) {
-    out += shorter;
-  } else {
-    out += buf;
+  char* end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 15)
+          .ptr;
+  double back = 0.0;
+  const std::from_chars_result read = std::from_chars(buf, end, back);
+  if (read.ec != std::errc{}) {  // out of range: strtod's answer decides
+    *end = '\0';
+    back = std::strtod(buf, nullptr);
   }
+  if (back != v) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        17)
+              .ptr;
+  }
+  out.append(buf, end);
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 }  // namespace
+
+std::string Json::quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_quoted(out, s);
+  return out;
+}
 
 void Json::write(std::string& out, int indent, int depth) const {
   const auto newline_indent = [&](int d) {
@@ -196,17 +220,14 @@ void Json::write(std::string& out, int indent, int depth) const {
       const Number& n = std::get<Number>(value_);
       if (n.int_exact) {
         if (n.neg) out += '-';
-        char buf[24];
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(n.mag));
-        out += buf;
+        append_u64(out, n.mag);
       } else {
         append_double(out, n.dbl);
       }
       break;
     }
     case Kind::kString:
-      out += quote(as_string());
+      append_quoted(out, as_string());
       break;
     case Kind::kArray: {
       if (items().empty()) {
@@ -236,7 +257,7 @@ void Json::write(std::string& out, int indent, int depth) const {
         if (!first) out += ',';
         first = false;
         newline_indent(depth + 1);
-        out += quote(m.first);
+        append_quoted(out, m.first);
         out += indent > 0 ? ": " : ":";
         m.second.write(out, indent, depth + 1);
       }
@@ -277,16 +298,7 @@ class Parser {
   [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
   [[nodiscard]] char peek() const noexcept { return text_[pos_]; }
 
-  char advance() noexcept {
-    const char c = text_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
+  char advance() noexcept { return text_[pos_++]; }
 
   void skip_ws() noexcept {
     while (!at_end()) {
@@ -296,10 +308,20 @@ class Parser {
     }
   }
 
+  // The position is worked out here, from the text before pos_, so the
+  // success path never tracks lines and columns (columns count bytes).
   bool fail(const std::string& message) {
     if (error_ != nullptr && error_->empty()) {
-      *error_ = "line " + std::to_string(line_) + ", column " +
-                std::to_string(col_) + ": " + message;
+      const std::string_view before = text_.substr(0, pos_);
+      const std::size_t line =
+          1 + static_cast<std::size_t>(
+                  std::count(before.begin(), before.end(), '\n'));
+      const std::size_t last_newline = before.rfind('\n');
+      const std::size_t col = last_newline == std::string_view::npos
+                                  ? pos_ + 1
+                                  : pos_ - last_newline;
+      *error_ = "line " + std::to_string(line) + ", column " +
+                std::to_string(col) + ": " + message;
     }
     return false;
   }
@@ -443,16 +465,18 @@ class Parser {
     advance();  // '"'
     out.clear();
     while (true) {
+      // Bulk-copy the run up to the next quote, escape or control byte.
+      const std::size_t run = pos_;
+      while (!at_end()) {
+        const auto c = static_cast<unsigned char>(peek());
+        if (c < 0x20 || c == '"' || c == '\\') break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (at_end()) return fail("unterminated string");
       const char c = advance();
       if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') return fail("raw control character in string");
       if (at_end()) return fail("truncated escape");
       const char e = advance();
       switch (e) {
@@ -541,16 +565,22 @@ class Parser {
       }
       return true;
     }
-    const std::string lexeme(text_.substr(start, pos_ - start));
-    out = Json::number(std::strtod(lexeme.c_str(), nullptr));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, value);
+    if (r.ec != std::errc{} || r.ptr != last) {
+      // Out of range (1e400, 1e-400): keep strtod's inf / zero.
+      const std::string lexeme(first, last);
+      value = std::strtod(lexeme.c_str(), nullptr);
+    }
+    out = Json::number(value);
     return true;
   }
 
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  std::size_t col_ = 1;
 };
 
 }  // namespace

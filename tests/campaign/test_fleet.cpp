@@ -20,7 +20,9 @@
 #include "campaign/report.hpp"
 #include "campaign/telemetry.hpp"
 #include "net/fake_transport.hpp"
+#include "scenario/result_io.hpp"
 #include "scenario/runner.hpp"
+#include "util/fileio.hpp"
 
 namespace secbus::campaign {
 namespace {
@@ -246,13 +248,16 @@ class FleetServerTest : public ::testing::Test {
     return grant;
   }
 
-  // Runs the granted shard for real and submits its result.
-  void run_and_submit(FleetServer& server, ConnId conn,
-                      const LeaseGrant& grant) {
+  // Runs the granted shard for real, submits its result and returns the
+  // submitted file.
+  ShardResultFile run_and_submit(FleetServer& server, ConnId conn,
+                                 const LeaseGrant& grant,
+                                 bool collect_metrics = false) {
     ShardRunOptions run;
     run.shard = grant.shard;
     run.shards = server.leases().shard_count();
     run.threads = 2;
+    run.collect_metrics = collect_metrics;
     const ShardRunOutcome outcome = run_shard(server.specs(), run);
     const ShardResultFile file =
         to_shard_file(spec_.name, outcome, grant.shard,
@@ -264,6 +269,7 @@ class FleetServerTest : public ::testing::Test {
     fake_.client_send(conn, fleet_msg::shard_done(grant.shard,
                                                   grant.generation, record,
                                                   file));
+    return file;
   }
 
   FakeTransport fake_;
@@ -507,6 +513,61 @@ TEST_F(FleetServerTest, FullCampaignMatchesDirectRunByteForByte) {
   for (const ShardProgress& shard : progress) {
     EXPECT_TRUE(shard.parsed);
     EXPECT_TRUE(shard.last.finished);
+  }
+}
+
+// The server writes the shard_done payload it vetted instead of rebuilding
+// it, and finalize merges the files it kept in memory instead of reading
+// them back. Neither may show: every shard file must be byte-equal to what
+// write_shard_file makes of the submitted results, and the merged results
+// must equal a merge_shard_files over the files on disk. Per-job metric
+// registries ride along, so their doubles cross the wire too.
+TEST_F(FleetServerTest, ShardFilesAndInMemoryMergeMatchTheOnDiskPath) {
+  TempDir dir("written-files");
+  TempDir local("local-files");
+  constexpr std::size_t kShards = 3;
+  FleetServerOptions opt = options(kShards, dir);
+  opt.grid.collect_metrics = true;
+  FleetServer server(fake_, spec_, opt);
+  const ConnId conn = handshake(server, "w1");
+  std::vector<ShardResultFile> submitted(kShards);
+  for (std::size_t round = 0; round < kShards && !server.finished(); ++round) {
+    fake_.client_send(conn, fleet_msg::request());
+    step(server);
+    const LeaseGrant grant =
+        grant_of(expect_only(fake_.take_client_inbox(conn), "grant"));
+    ASSERT_LT(grant.shard, kShards);
+    submitted[grant.shard] =
+        run_and_submit(server, conn, grant, /*collect_metrics=*/true);
+    step(server);
+  }
+  ASSERT_TRUE(server.finished());
+
+  std::string error;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ASSERT_FALSE(submitted[s].results.empty()) << "shard " << s;
+    const std::string local_path =
+        (std::filesystem::path(local.path()) /
+         shard_file_name(spec_.name, s, kShards))
+            .string();
+    ASSERT_TRUE(write_shard_file(local_path, submitted[s], &error)) << error;
+    std::string served_text;
+    std::string local_text;
+    ASSERT_TRUE(util::read_file(server.shard_files()[s], served_text, &error))
+        << error;
+    ASSERT_TRUE(util::read_file(local_path, local_text, &error)) << error;
+    EXPECT_EQ(served_text, local_text) << "shard " << s;
+  }
+
+  std::vector<scenario::JobResult> from_disk;
+  ASSERT_TRUE(merge_shard_files(server.shard_files(), nullptr, &from_disk,
+                                &error))
+      << error;
+  ASSERT_EQ(server.results().size(), from_disk.size());
+  for (std::size_t i = 0; i < from_disk.size(); ++i) {
+    EXPECT_EQ(scenario::job_result_to_json(server.results()[i]).dump(0),
+              scenario::job_result_to_json(from_disk[i]).dump(0))
+        << "job " << i;
   }
 }
 

@@ -120,7 +120,8 @@ pid_t spawn_worker(std::uint16_t port, int w, const std::string& out_dir,
                                    "--jobs",
                                    "2",
                                    "--backoff",
-                                   "100"};
+                                   "100",
+                                   "--quiet"};
   std::vector<std::string> env;
   for (char** e = environ; *e != nullptr; ++e) {
     if (std::strncmp(*e, "SECBUS_CHAOS=", 13) != 0) env.emplace_back(*e);
@@ -136,7 +137,7 @@ pid_t spawn_worker(std::uint16_t port, int w, const std::string& out_dir,
   std::vector<char*> envp = c_strings(env);
 
   // The worker's summary line would interleave with gtest's output; its
-  // stderr (errors) stays attached.
+  // stderr stays attached, which under --quiet carries only errors.
   posix_spawn_file_actions_t actions;
   posix_spawn_file_actions_init(&actions);
   posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, "/dev/null",
@@ -180,6 +181,18 @@ struct ReapOnExit {
       ::kill(pid, SIGKILL);
       (void)::waitpid(pid, nullptr, 0);
     }
+  }
+};
+
+// Stops and joins a helper thread on every exit from the test, so a failed
+// ASSERT_* returns through a joined thread instead of std::terminate.
+struct StopAndJoin {
+  std::atomic<bool>& stop;
+  std::thread& thread;
+  ~StopAndJoin() { finish(); }
+  void finish() {
+    stop.store(true);
+    if (thread.joinable()) thread.join();
   }
 };
 
@@ -247,11 +260,12 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
   // pair (usually mid-run, but a fast fleet may finish first — the main
   // thread keeps servicing HTTP until the scrape lands either way).
   std::atomic<bool> scraped{false};
+  std::atomic<bool> stop_scraping{false};
   std::string scraped_metrics;
   std::string scraped_status;
   std::thread scraper([&] {
     const auto scrape_deadline = Clock::now() + std::chrono::minutes(2);
-    while (Clock::now() < scrape_deadline) {
+    while (!stop_scraping.load() && Clock::now() < scrape_deadline) {
       int status = 0;
       std::string metrics_body, status_body, get_error;
       if (net::http_get("127.0.0.1", http.bound_port(), "/metrics", &status,
@@ -268,6 +282,7 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   });
+  StopAndJoin join_scraper{stop_scraping, scraper};
 
   // Drive the server to completion (bounded: a wedged fleet must fail the
   // test, not hang it).
@@ -289,7 +304,7 @@ TEST(FleetE2E, ChaosKilledWorkerIsReassignedAndOutputIsByteIdentical) {
     service_http();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  scraper.join();
+  join_scraper.finish();
   http.close();
 
   // The fleet is done, so every worker has exited or is about to.

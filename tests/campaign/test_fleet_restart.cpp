@@ -17,6 +17,7 @@
 #include "campaign/report.hpp"
 #include "campaign/telemetry.hpp"
 #include "net/fake_transport.hpp"
+#include "scenario/result_io.hpp"
 #include "scenario/runner.hpp"
 
 namespace secbus::campaign {
@@ -212,6 +213,20 @@ TEST_F(FleetRestartTest, ResumeRestoresCommitsFencesZombiesAndStaysByteIdentical
       scenario::run_batch(server.specs(), direct_opts);
   EXPECT_EQ(campaign_json(CampaignReport::from(spec_.name, server.results())),
             campaign_json(CampaignReport::from(spec_.name, direct)));
+
+  // finalize merged shard 0 as read back at resume and shard 1 as accepted
+  // in memory; a merge of the two files on disk must agree job for job.
+  std::vector<scenario::JobResult> from_disk;
+  std::string error;
+  ASSERT_TRUE(merge_shard_files(server.shard_files(), nullptr, &from_disk,
+                                &error))
+      << error;
+  ASSERT_EQ(server.results().size(), from_disk.size());
+  for (std::size_t i = 0; i < from_disk.size(); ++i) {
+    EXPECT_EQ(scenario::job_result_to_json(server.results()[i]).dump(0),
+              scenario::job_result_to_json(from_disk[i]).dump(0))
+        << "job " << i;
+  }
 
   // The completed log is swept by the next fresh serve, which then starts
   // at epoch 0 with a clean slate.

@@ -198,6 +198,24 @@ TEST(ShardPlan, FingerprintsSeeEveryFieldOfTheSpec) {
   EXPECT_EQ(spec_fingerprint(specs[0]), spec_fingerprint(specs[0]));
 }
 
+// Checkpoints, shard files and fleet logs written by earlier builds carry
+// these fingerprints; a build that hashes differently would silently re-run
+// every checkpointed job and refuse every logged shard on resume. The
+// values were recorded with the printf-based JSON writer.
+TEST(ShardPlan, AttackGridFingerprintsMatchRecordedValues) {
+  const std::vector<scenario::ScenarioSpec> specs =
+      load_and_expand(example_path("attack_grid.json"));
+  ASSERT_EQ(specs.size(), 576u);
+  const std::vector<std::uint64_t> fps = spec_fingerprints(specs);
+  ASSERT_EQ(fps.size(), specs.size());
+  EXPECT_EQ(fps[0], 3044167012942689375ULL);
+  EXPECT_EQ(grid_fingerprint(fps), 13876320070343341134ULL);
+  EXPECT_EQ(grid_fingerprint(specs), grid_fingerprint(fps));
+  for (std::size_t i = 0; i < specs.size(); i += 97) {
+    EXPECT_EQ(fps[i], spec_fingerprint(specs[i])) << "job " << i;
+  }
+}
+
 TEST(ShardMerge, RejectsIncompleteAndForeignShardSets) {
   const std::vector<scenario::ScenarioSpec> specs =
       load_and_expand(example_path("ci_smoke.json"));
@@ -317,6 +335,8 @@ TEST(Checkpoint, ResumeSkipsCompletedJobsWithoutDuplication) {
   run.shards = 2;
   run.threads = pool_threads();
   run.checkpoint_path = ckpt;
+  const std::vector<std::uint64_t> spec_fps = spec_fingerprints(specs);
+  run.spec_fps = spec_fps;
   run.on_job_done = [&](const scenario::JobResult&, std::size_t,
                         std::size_t) { ++executed_jobs; };
   const ShardRunOutcome outcome = run_shard(specs, run);
@@ -374,11 +394,13 @@ TEST(Checkpoint, StaleFingerprintsAreIgnored) {
 
   std::vector<scenario::JobResult> results(edited.size());
   std::vector<char> done(edited.size(), 0);
-  EXPECT_EQ(load_checkpoint(ckpt, edited, results, done), 0u);
+  EXPECT_EQ(load_checkpoint(ckpt, spec_fingerprints(edited), results, done),
+            0u);
   // Unedited specs still restore.
   std::vector<scenario::JobResult> results2(specs.size());
   std::vector<char> done2(specs.size(), 0);
-  EXPECT_EQ(load_checkpoint(ckpt, specs, results2, done2), 1u);
+  EXPECT_EQ(load_checkpoint(ckpt, spec_fingerprints(specs), results2, done2),
+            1u);
 }
 
 }  // namespace

@@ -95,6 +95,8 @@ TEST(TornTail, CheckpointReplayAtEveryTruncationOffset) {
   run.shards = 1;
   run.threads = 1;  // deterministic record order for the offset math
   run.checkpoint_path = ckpt;
+  const std::vector<std::uint64_t> spec_fps = spec_fingerprints(specs);
+  run.spec_fps = spec_fps;
   const ShardRunOutcome outcome = run_shard(specs, run);
   ASSERT_TRUE(outcome.checkpoint_ok);
   ASSERT_EQ(outcome.executed, specs.size());
@@ -108,7 +110,7 @@ TEST(TornTail, CheckpointReplayAtEveryTruncationOffset) {
   {
     std::vector<scenario::JobResult> results(specs.size());
     std::vector<char> done(specs.size(), 0);
-    EXPECT_EQ(load_checkpoint(ckpt, specs, results, done), specs.size());
+    EXPECT_EQ(load_checkpoint(ckpt, spec_fps, results, done), specs.size());
   }
 
   const std::string torn = dir.file("torn-copy.ckpt.jsonl");
@@ -116,7 +118,8 @@ TEST(TornTail, CheckpointReplayAtEveryTruncationOffset) {
     write_truncated(torn, text, keep);
     std::vector<scenario::JobResult> results(specs.size());
     std::vector<char> done(specs.size(), 0);
-    const std::size_t restored = load_checkpoint(torn, specs, results, done);
+    const std::size_t restored =
+        load_checkpoint(torn, spec_fps, results, done);
     const std::size_t expected = complete_lines_within(text, keep);
     ASSERT_EQ(restored, expected) << "truncated at byte " << keep << " of "
                                   << text.size();
@@ -138,6 +141,8 @@ TEST(TornTail, CheckpointResumeAfterTruncationRerunsOnlyTheLostTail) {
   run.shards = 1;
   run.threads = 1;
   run.checkpoint_path = ckpt;
+  const std::vector<std::uint64_t> spec_fps = spec_fingerprints(specs);
+  run.spec_fps = spec_fps;
   const ShardRunOutcome first = run_shard(specs, run);
   ASSERT_TRUE(first.checkpoint_ok);
 

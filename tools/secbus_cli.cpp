@@ -138,6 +138,9 @@
 //     --id NAME       worker identity in leases/logs (default worker-<pid>)
 //     --reconnect N   reconnect budget (default 5)
 //     --backoff MS    initial backoff, doubles to 5000 (default 500)
+//     --quiet         drop the per-event stderr lines (campaign received,
+//                     retries, dropped and submitted shards); errors and
+//                     the final summary still print
 //
 //   secbus_cli campaign top <host:port> [--interval MS] [--once]
 //       Live fleet view: polls the serve --http-port /status endpoint and
@@ -704,7 +707,12 @@ int cmd_campaign_run(int argc, char** argv) {
   run.threads = opt.jobs;
   run.collect_metrics = opt.grid.collect_metrics;
   run.campaign = spec.name;
+  // Checkpoint records and the shard file's grid fingerprint both fold the
+  // per-spec fingerprints; hash every spec once.
+  std::vector<std::uint64_t> spec_fps;
   if (sharded) {
+    spec_fps = campaign::spec_fingerprints(specs);
+    run.spec_fps = spec_fps;
     // Shard runs always checkpoint under --out, so re-running one after a
     // crash resumes instead of recomputing.
     std::error_code ec;
@@ -743,7 +751,7 @@ int cmd_campaign_run(int argc, char** argv) {
   if (!campaign::write_shard_file(
           shard_path,
           campaign::to_shard_file(spec.name, outcome, run.shard, run.shards,
-                                  campaign::grid_fingerprint(specs)),
+                                  campaign::grid_fingerprint(spec_fps)),
           &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
